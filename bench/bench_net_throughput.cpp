@@ -263,9 +263,8 @@ int main() {
   std::thread server_thread([&] { server.run(); });
 
   std::printf("bench_net_throughput: airsn %zu bytes, %.2fs per point, "
-              "%u hardware threads, %zu reactors (%s)%s\n",
+              "%u hardware threads, %zu reactors%s\n",
               dag_text.size(), seconds, hw, server.reactors(),
-              server.usingReuseport() ? "reuseport" : "hand-off",
               smoke ? " (smoke scale)" : "");
 
   std::string metrics_json;
@@ -412,7 +411,6 @@ int main() {
         << (smoke ? "true" : "false") << ",\"seconds_per_point\":" << seconds
         << ",\"hardware_concurrency\":" << hw
         << ",\"reactors\":" << server.reactors()
-        << ",\"reuseport\":" << (server.usingReuseport() ? "true" : "false")
         << ",\"wakeups_signaled\":" << final_stats.wakeups_signaled
         << ",\"wakeups_drained\":" << final_stats.wakeups_drained
         << ",\"metrics\":{" << metrics_json << "}}\n";

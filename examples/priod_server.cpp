@@ -11,10 +11,8 @@
 //   --threads N     service worker threads (default: hardware concurrency)
 //   --reactors N    reactor shards (event-loop threads; default: half the
 //                   hardware threads, min 1). Each shard owns its own
-//                   epoll loop and connections; with N > 1 on Linux the
+//                   epoll loop, listener and connections; with N > 1 the
 //                   listeners share the port via SO_REUSEPORT
-//   --no-reuseport  distribute connections by accept-and-hand-off instead
-//                   of SO_REUSEPORT (deterministic round-robin placement)
 //   --queue N       pending-request bound (default 256)
 //   --reject        full queue / full gate answers kRejected instead of
 //                   applying TCP backpressure
@@ -38,7 +36,6 @@
 //                   nonzero rate meters admission with a token bucket;
 //                   see DESIGN.md §12). Unlisted tenants use defaults
 //                   (weight 1, unmetered).
-//   --poll          force the poll(2) backend instead of epoll
 //   --trace         enable per-request tracing (trace ids join client and
 //                   server spans; see README "Serving over TCP")
 //
@@ -69,13 +66,12 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: priod_server [--bind ADDR] [--port N] [--port-file F] "
-      "[--threads N] [--reactors N] [--no-reuseport] [--queue N] [--reject] "
-      "[--cache N] "
+      "[--threads N] [--reactors N] [--queue N] [--reject] [--cache N] "
       "[--max-in-flight N] [--max-connections N] [--deadline-ms N] "
       "[--queue-deadline-ms N] [--idle-timeout-ms N] [--drain-timeout-ms N] "
       "[--max-payload N] [--max-batch-payload N] "
       "[--metrics-out F] [--tenant ID[:WEIGHT[:RATE[:BURST[:MAXINFL]]]]]... "
-      "[--poll] [--trace]\n");
+      "[--trace]\n");
   return 2;
 }
 
@@ -129,8 +125,6 @@ int main(int argc, char** argv) {
         config.service.num_threads = std::stoul(next());
       else if (arg == "--reactors")
         config.reactors = std::stoul(next());
-      else if (arg == "--no-reuseport")
-        config.use_reuseport = false;
       else if (arg == "--queue")
         config.service.queue_capacity = std::stoul(next());
       else if (arg == "--reject")
@@ -158,7 +152,6 @@ int main(int argc, char** argv) {
       else if (arg == "--metrics-out") metrics_out = next();
       else if (arg == "--tenant")
         config.tenants.push_back(parseTenantSpec(next()));
-      else if (arg == "--poll") config.use_epoll = false;
       else if (arg == "--trace") trace = true;
       else return usage();
     } catch (const std::exception& e) {
@@ -183,10 +176,9 @@ int main(int argc, char** argv) {
       });
     }
     std::printf(
-        "priod_server: listening on %s:%u (%zu workers, %zu reactors, %s)\n",
+        "priod_server: listening on %s:%u (%zu workers, %zu reactors)\n",
         config.bind_address.c_str(), server.port(),
-        server.service().numThreads(), server.reactors(),
-        server.usingReuseport() ? "reuseport" : "hand-off");
+        server.service().numThreads(), server.reactors());
     std::fflush(stdout);
 
     server.run();

@@ -10,12 +10,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <list>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "net/wakeup.h"
 #include "util/check.h"
 #include "util/retry.h"
 #include "util/socket.h"
@@ -67,51 +67,19 @@ struct ChaosProxy::Impl {
     explicit Conn(std::uint64_t seed) : rng(seed) {}
   };
 
-  explicit Impl(const ChaosOptions& options) : options_(options) {
-    listen_fd_ = util::socketCloexec(AF_INET, SOCK_STREAM, 0);
-    PRIO_CHECK_MSG(listen_fd_.valid(), "socket: " << std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(listen_fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    struct sockaddr_in addr {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.listen_port);
-    PRIO_CHECK_MSG(::inet_pton(AF_INET, options_.listen_address.c_str(),
-                               &addr.sin_addr) == 1,
-                   "bad listen address " << options_.listen_address);
-    PRIO_CHECK_MSG(::bind(listen_fd_.get(),
-                          reinterpret_cast<struct sockaddr*>(&addr),
-                          sizeof(addr)) == 0,
-                   "chaos bind " << options_.listen_address << ":"
-                                 << options_.listen_port << ": "
-                                 << std::strerror(errno));
-    PRIO_CHECK_MSG(::listen(listen_fd_.get(), 64) == 0,
-                   "chaos listen: " << std::strerror(errno));
-    PRIO_CHECK(util::setNonBlocking(listen_fd_.get()));
-
-    struct sockaddr_in bound {};
-    socklen_t len = sizeof(bound);
-    PRIO_CHECK(::getsockname(listen_fd_.get(),
-                             reinterpret_cast<struct sockaddr*>(&bound),
-                             &len) == 0);
-    bound_port_ = ntohs(bound.sin_port);
-
-    int pipefd[2];
-    PRIO_CHECK_MSG(::pipe(pipefd) == 0, "pipe: " << std::strerror(errno));
-    wake_r_ = util::UniqueFd(pipefd[0]);
-    wake_w_ = util::UniqueFd(pipefd[1]);
-    PRIO_CHECK(util::setNonBlocking(wake_r_.get()));
-    PRIO_CHECK(util::setNonBlocking(wake_w_.get()));
-    util::setCloexec(wake_r_.get());
-    util::setCloexec(wake_w_.get());
-  }
+  explicit Impl(const ChaosOptions& options)
+      : options_(options),
+        listen_fd_(util::listenTcp(options_.listen_address,
+                                   options_.listen_port,
+                                   /*reuseport=*/false)),
+        bound_port_(util::localPort(listen_fd_.get())) {}
 
   void run() {
     std::vector<struct pollfd> pfds;
     while (!stop_flag_.load(std::memory_order_acquire)) {
       pfds.clear();
       pfds.push_back({listen_fd_.get(), POLLIN, 0});
-      pfds.push_back({wake_r_.get(), POLLIN, 0});
+      pfds.push_back({wake_.fd(), POLLIN, 0});
       Clock::time_point earliest = Clock::time_point::max();
       for (Conn& c : conns_) {
         armDirection(c.up, pfds, earliest);
@@ -130,10 +98,8 @@ struct ChaosProxy::Impl {
       if (stop_flag_.load(std::memory_order_acquire)) break;
 
       for (const struct pollfd& p : pfds) {
-        if (p.fd == wake_r_.get() && (p.revents & POLLIN) != 0) {
-          char buf[64];
-          while (::read(wake_r_.get(), buf, sizeof(buf)) > 0) {
-          }
+        if (p.fd == wake_.fd() && (p.revents & POLLIN) != 0) {
+          wake_.drain();
         } else if (p.fd == listen_fd_.get() && (p.revents & POLLIN) != 0) {
           acceptAll();
         }
@@ -157,8 +123,7 @@ struct ChaosProxy::Impl {
 
   void requestStop() noexcept {
     stop_flag_.store(true, std::memory_order_release);
-    const char byte = 1;
-    [[maybe_unused]] ssize_t w = ::write(wake_w_.get(), &byte, 1);
+    wake_.signal();
   }
 
   Stats stats() const {
@@ -186,19 +151,13 @@ struct ChaosProxy::Impl {
 
   void acceptAll() {
     for (;;) {
-      const int raw = ::accept(listen_fd_.get(), nullptr, nullptr);
-      if (raw < 0) {
-        if (errno == EINTR) continue;
-        return;
-      }
-      util::UniqueFd client(raw);
-      util::setCloexec(client.get());
+      util::UniqueFd client = util::acceptNonBlocking(listen_fd_.get());
+      if (!client.valid()) return;
       util::UniqueFd upstream = connectUpstream();
       if (!upstream.valid()) {
         client.reset();  // no upstream: refuse by closing
         continue;
       }
-      PRIO_CHECK(util::setNonBlocking(client.get()));
       PRIO_CHECK(util::setNonBlocking(upstream.get()));
       const int one = 1;
       ::setsockopt(client.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -379,9 +338,8 @@ struct ChaosProxy::Impl {
 
   ChaosOptions options_;
   util::UniqueFd listen_fd_;
-  util::UniqueFd wake_r_;
-  util::UniqueFd wake_w_;
   std::uint16_t bound_port_ = 0;
+  Wakeup wake_;
   std::list<Conn> conns_;
   std::uint64_t conn_index_ = 0;
   std::atomic<bool> stop_flag_{false};

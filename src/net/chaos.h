@@ -20,8 +20,11 @@
 //   - Truncation: at `truncate_after_bytes` the connection is closed
 //     cleanly (FIN) mid-stream — EOF where a frame promised more bytes.
 //
-// Single-threaded poll loop over all connections, same discipline as the
-// real server: run() on a dedicated thread, requestStop() from anywhere.
+// Single-threaded poll(2) loop over all connections that rebuilds its
+// interest set every tick, so it needs no Poller. It shares the server's
+// listener setup and accept path (util/socket.h) and its eventfd Wakeup
+// (net/wakeup.h): run() on a dedicated thread, requestStop() from
+// anywhere.
 // Fault decisions are drawn per connection from splitmix64 streams
 // derived from (seed, connection index), so concurrency does not
 // perturb the schedule of any one connection.

@@ -4,8 +4,9 @@
 // returns immediately with its request id; receive() blocks for the next
 // response frame. Because the two are independent, callers pipeline
 // freely: send k requests back to back, then drain k responses and match
-// them up by the echoed request id (the server preserves per-connection
-// submission order, but matching by id is the contract).
+// them up by the echoed request id. That id is the contract: the server
+// writes replies in completion order, which matches submission order
+// only with a single service worker.
 //
 // connect() retries refused connections with seeded exponential backoff
 // (util/retry.h) — the natural race when a test or script starts the

@@ -1,122 +1,58 @@
 #include "net/poller.h"
 
-#include <poll.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
 
 #include <array>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
-#include <unordered_map>
-#include <utility>
 
 #include "util/check.h"
-#include "util/socket.h"
 
 namespace prio::net {
 
-namespace {
+Poller::Poller() : ep_(::epoll_create1(EPOLL_CLOEXEC)) {
+  PRIO_CHECK_MSG(ep_.valid(), "epoll_create1: " << std::strerror(errno));
+}
 
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : ep_(::epoll_create1(EPOLL_CLOEXEC)) {
-    PRIO_CHECK_MSG(ep_.valid(), "epoll_create1: " << std::strerror(errno));
+void Poller::add(int fd, bool read, bool write) {
+  ctl(EPOLL_CTL_ADD, fd, read, write);
+}
+
+void Poller::update(int fd, bool read, bool write) {
+  ctl(EPOLL_CTL_MOD, fd, read, write);
+}
+
+void Poller::remove(int fd) {
+  struct epoll_event ev {};
+  ::epoll_ctl(ep_.get(), EPOLL_CTL_DEL, fd, &ev);
+}
+
+void Poller::wait(std::vector<Event>& out, int timeout_ms) {
+  std::array<struct epoll_event, 64> evs;
+  int n;
+  do {
+    n = ::epoll_wait(ep_.get(), evs.data(), static_cast<int>(evs.size()),
+                     timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  for (int i = 0; i < n; ++i) {
+    Event e;
+    e.fd = evs[static_cast<std::size_t>(i)].data.fd;
+    const std::uint32_t m = evs[static_cast<std::size_t>(i)].events;
+    e.readable = (m & (EPOLLIN | EPOLLHUP)) != 0;
+    e.writable = (m & EPOLLOUT) != 0;
+    e.error = (m & EPOLLERR) != 0;
+    out.push_back(e);
   }
+}
 
-  void add(int fd, bool read, bool write) override {
-    ctl(EPOLL_CTL_ADD, fd, read, write);
-  }
-  void update(int fd, bool read, bool write) override {
-    ctl(EPOLL_CTL_MOD, fd, read, write);
-  }
-  void remove(int fd) override {
-    struct epoll_event ev {};
-    ::epoll_ctl(ep_.get(), EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    std::array<struct epoll_event, 64> evs;
-    int n;
-    do {
-      n = ::epoll_wait(ep_.get(), evs.data(), static_cast<int>(evs.size()),
-                       timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = evs[static_cast<std::size_t>(i)].data.fd;
-      const std::uint32_t m = evs[static_cast<std::size_t>(i)].events;
-      e.readable = (m & (EPOLLIN | EPOLLHUP)) != 0;
-      e.writable = (m & EPOLLOUT) != 0;
-      e.error = (m & EPOLLERR) != 0;
-      out.push_back(e);
-    }
-  }
-
- private:
-  void ctl(int op, int fd, bool read, bool write) {
-    struct epoll_event ev {};
-    ev.data.fd = fd;
-    if (read) ev.events |= EPOLLIN;
-    if (write) ev.events |= EPOLLOUT;
-    PRIO_CHECK_MSG(::epoll_ctl(ep_.get(), op, fd, &ev) == 0,
-                   "epoll_ctl: " << std::strerror(errno));
-  }
-
-  util::UniqueFd ep_;
-};
-#endif  // __linux__
-
-class PollPoller final : public Poller {
- public:
-  void add(int fd, bool read, bool write) override {
-    interest_[fd] = {read, write};
-  }
-  void update(int fd, bool read, bool write) override {
-    interest_[fd] = {read, write};
-  }
-  void remove(int fd) override { interest_.erase(fd); }
-
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    fds_.clear();
-    for (const auto& [fd, want] : interest_) {
-      short ev = 0;
-      if (want.first) ev |= POLLIN;
-      if (want.second) ev |= POLLOUT;
-      fds_.push_back({fd, ev, 0});
-    }
-    int n;
-    do {
-      n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return;
-    for (const struct pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(e);
-    }
-  }
-
- private:
-  std::unordered_map<int, std::pair<bool, bool>> interest_;
-  std::vector<struct pollfd> fds_;
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> makePoller(bool use_epoll) {
-#ifdef __linux__
-  if (use_epoll) return std::make_unique<EpollPoller>();
-#else
-  (void)use_epoll;
-#endif
-  return std::make_unique<PollPoller>();
+void Poller::ctl(int op, int fd, bool read, bool write) {
+  struct epoll_event ev {};
+  ev.data.fd = fd;
+  if (read) ev.events |= EPOLLIN;
+  if (write) ev.events |= EPOLLOUT;
+  PRIO_CHECK_MSG(::epoll_ctl(ep_.get(), op, fd, &ev) == 0,
+                 "epoll_ctl: " << std::strerror(errno));
 }
 
 }  // namespace prio::net

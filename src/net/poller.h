@@ -1,15 +1,15 @@
-// Readiness backends for the reactor shards (net/server.cpp): epoll on
-// Linux, poll(2) everywhere, behind one level-triggered interface. Each
-// reactor shard owns exactly one Poller instance and is the only thread
-// that ever touches it — the abstraction carries no locks.
+// Readiness for a reactor shard (net/server.cpp): one level-triggered
+// epoll instance. Each reactor shard owns exactly one Poller and is the
+// only thread that ever touches it, so it carries no locks.
 //
 // Level-triggered on purpose: a handler that leaves bytes unread or
 // unwritten is simply called again on the next wait(), so partial
 // progress never needs re-arming bookkeeping.
 #pragma once
 
-#include <memory>
 #include <vector>
+
+#include "util/socket.h"
 
 namespace prio::net {
 
@@ -21,16 +21,20 @@ class Poller {
     bool writable = false;
     bool error = false;
   };
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool read, bool write) = 0;
-  virtual void update(int fd, bool read, bool write) = 0;
-  virtual void remove(int fd) = 0;
-  /// Fills `out` with ready fds; blocks up to timeout_ms (-1 = forever).
-  virtual void wait(std::vector<Event>& out, int timeout_ms) = 0;
-};
 
-/// The selected backend: epoll when `use_epoll` and the platform has it,
-/// the portable poll(2) implementation otherwise.
-std::unique_ptr<Poller> makePoller(bool use_epoll);
+  /// Creates the epoll instance; throws util::Error on failure.
+  Poller();
+
+  void add(int fd, bool read, bool write);
+  void update(int fd, bool read, bool write);
+  void remove(int fd);
+  /// Fills `out` with ready fds; blocks up to timeout_ms (-1 = forever).
+  void wait(std::vector<Event>& out, int timeout_ms);
+
+ private:
+  void ctl(int op, int fd, bool read, bool write);
+
+  util::UniqueFd ep_;
+};
 
 }  // namespace prio::net

@@ -175,8 +175,8 @@ class ResilientClient {
     PayloadKind kind = PayloadKind::kDagmanText;
     std::string payload;
   };
-  /// id -> request, ordered so replay preserves submission order (the
-  /// server's per-connection ordering contract).
+  /// id -> request, ordered so replay resends in submission order;
+  /// replies are matched back by id.
   std::map<std::uint64_t, PendingRequest> in_flight_;
   std::uint64_t next_id_ = 1;
   bool ever_connected_ = false;

@@ -1,16 +1,13 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <list>
 #include <mutex>
@@ -35,7 +32,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
-constexpr int kListenBacklog = 256;
 
 Status toWireStatus(service::RequestStatus s) {
   switch (s) {
@@ -89,49 +85,6 @@ std::size_t resolveReactors(std::size_t requested) {
   return hw > 1 ? hw / 2 : 1;
 }
 
-/// A bound, listening, non-blocking IPv4 socket. Throws util::Error on
-/// any failure — including SO_REUSEPORT being refused, which the caller
-/// turns into the hand-off fallback.
-util::UniqueFd makeListener(const std::string& bind_address,
-                            std::uint16_t port, bool reuseport) {
-  util::UniqueFd fd = util::socketCloexec(AF_INET, SOCK_STREAM, 0);
-  PRIO_CHECK_MSG(fd.valid(), "socket: " << std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    PRIO_CHECK_MSG(::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                                sizeof(one)) == 0,
-                   "setsockopt(SO_REUSEPORT): " << std::strerror(errno));
-#else
-    PRIO_CHECK_MSG(false, "SO_REUSEPORT unavailable on this platform");
-#endif
-  }
-
-  struct sockaddr_in addr {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  PRIO_CHECK_MSG(
-      ::inet_pton(AF_INET, bind_address.c_str(), &addr.sin_addr) == 1,
-      "bad bind address " << bind_address);
-  PRIO_CHECK_MSG(::bind(fd.get(), reinterpret_cast<struct sockaddr*>(&addr),
-                        sizeof(addr)) == 0,
-                 "bind " << bind_address << ":" << port << ": "
-                         << std::strerror(errno));
-  PRIO_CHECK_MSG(::listen(fd.get(), kListenBacklog) == 0,
-                 "listen: " << std::strerror(errno));
-  PRIO_CHECK(util::setNonBlocking(fd.get()));
-  return fd;
-}
-
-std::uint16_t localPort(int fd) {
-  struct sockaddr_in bound {};
-  socklen_t len = sizeof(bound);
-  PRIO_CHECK(::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),
-                           &len) == 0);
-  return ntohs(bound.sin_port);
-}
-
 }  // namespace
 
 struct Server::Impl {
@@ -179,21 +132,21 @@ struct Server::Impl {
   };
 
   /// One reactor: an event-loop thread and everything it owns
-  /// exclusively — poller, listener (or hand-off inbox), connection
-  /// tables, LRU list, buffers, completion queue, wakeup fd. Only
-  /// completions_/inbox_ (mutex) and parked_frames_/accepted_ (atomic)
-  /// are ever touched by another thread.
+  /// exclusively — poller, listener, connection tables, LRU list,
+  /// buffers, completion queue, wakeup fd. Only completions_ (mutex) and
+  /// parked_frames_/accepted_ (atomic) are ever touched by another
+  /// thread.
   struct Shard {
     Shard(Impl* impl, std::size_t index)
         : impl(impl), index(index), next_conn_id_(index + 1) {}
 
     Impl* impl;
     std::size_t index = 0;
-    /// Valid on every shard under SO_REUSEPORT; only on shard 0 in
-    /// hand-off mode.
+    /// This shard's own listener; with more than one shard every
+    /// listener shares the port through SO_REUSEPORT.
     util::UniqueFd listen_fd_;
     Wakeup wake_;
-    std::unique_ptr<Poller> poller_;  ///< created on the loop thread
+    Poller poller_;
 
     /// Ids stride by the shard count so they are unique without
     /// coordination (shard i mints i+1, i+1+N, ...).
@@ -211,8 +164,6 @@ struct Server::Impl {
     std::atomic<std::size_t> parked_frames_{0};
     /// Connections adopted by this shard (Stats::shard_connections).
     std::atomic<std::uint64_t> accepted_{0};
-    /// Hand-off round-robin cursor (used only by the accepting shard).
-    std::size_t rr_next_ = 0;
 
     bool draining_ = false;
     Clock::time_point drain_deadline_{};
@@ -220,19 +171,11 @@ struct Server::Impl {
     std::mutex completions_mu_;
     std::vector<Completion> completions_;
 
-    /// Descriptors dealt to this shard by the accepting shard (hand-off
-    /// mode only).
-    std::mutex inbox_mu_;
-    std::vector<util::UniqueFd> inbox_;
-
     // ----------------------------------------------------------- loop
 
     void loop() {
-      poller_ = makePoller(impl->config_.use_epoll);
-      if (listen_fd_.valid()) {
-        poller_->add(listen_fd_.get(), /*read=*/true, /*write=*/false);
-      }
-      poller_->add(wake_.fd(), /*read=*/true, /*write=*/false);
+      poller_.add(listen_fd_.get(), /*read=*/true, /*write=*/false);
+      poller_.add(wake_.fd(), /*read=*/true, /*write=*/false);
 
       std::vector<Poller::Event> events;
       while (true) {
@@ -246,13 +189,13 @@ struct Server::Impl {
                 ? 50
                 : 1000;
         events.clear();
-        poller_->wait(events, timeout_ms);
+        poller_.wait(events, timeout_ms);
         const Clock::time_point wake = Clock::now();
 
         for (const Poller::Event& e : events) {
           if (e.fd == wake_.fd()) {
             if (wake_.drain() > 0) impl->wakeups_drained.add();
-          } else if (listen_fd_.valid() && e.fd == listen_fd_.get()) {
+          } else if (e.fd == listen_fd_.get()) {
             if (!draining_) acceptAll();
           } else {
             // The connection may have been closed by an earlier event
@@ -269,7 +212,6 @@ struct Server::Impl {
           }
         }
 
-        adoptInbox();
         drainCompletions();
         if (!draining_ &&
             parked_frames_.load(std::memory_order_relaxed) > 0) {
@@ -295,7 +237,6 @@ struct Server::Impl {
       }
 
       // Point-of-no-return cleanup: anything still connected is dropped.
-      for (auto& [fd, conn] : conns_by_fd_) poller_->remove(fd);
       if (!conns_by_fd_.empty()) {
         impl->open_conns_.fetch_sub(conns_by_fd_.size(),
                                     std::memory_order_relaxed);
@@ -303,20 +244,15 @@ struct Server::Impl {
       conns_by_fd_.clear();
       conns_by_id_.clear();
       lru_.clear();
-      dropInbox();
-      poller_.reset();
     }
 
     // ---------------------------------------------------- connections
 
     void acceptAll() {
       for (;;) {
-        const int raw = ::accept(listen_fd_.get(), nullptr, nullptr);
-        if (raw < 0) {
-          if (errno == EINTR) continue;
-          return;  // EAGAIN or transient accept failure: try next round
-        }
-        util::UniqueFd fd(raw);
+        util::UniqueFd fd = util::acceptNonBlocking(listen_fd_.get());
+        // EAGAIN or a transient accept failure: try next round.
+        if (!fd.valid()) return;
         // The connection cap is global; the atomic reservation makes it
         // exact even with every shard accepting at once.
         if (impl->open_conns_.fetch_add(1, std::memory_order_relaxed) >=
@@ -325,87 +261,25 @@ struct Server::Impl {
           impl->connections_refused.add();
           continue;  // fd closes on scope exit
         }
-        util::setCloexec(fd.get());
-        if (!util::setNonBlocking(fd.get())) {
-          impl->open_conns_.fetch_sub(1, std::memory_order_relaxed);
-          impl->connections_refused.add();
-          continue;
-        }
         const int one = 1;
         ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         impl->connections_accepted.add();
 
-        if (!impl->reuseport_ && impl->num_shards_ > 1) {
-          // Hand-off fallback: deal round-robin (deterministic — tests
-          // rely on the order), keeping every Nth for ourselves.
-          Shard& target = *impl->shards_[rr_next_++ % impl->num_shards_];
-          if (&target != this) {
-            target.pushHandoff(std::move(fd));
-            continue;
-          }
-        }
-        adopt(std::move(fd));
-      }
-    }
-
-    /// Takes ownership of an accepted, non-blocking descriptor already
-    /// counted in open_conns_.
-    void adopt(util::UniqueFd fd) {
-      auto conn = std::make_unique<Connection>();
-      conn->id = next_conn_id_;
-      next_conn_id_ += impl->num_shards_;
-      conn->fd = std::move(fd);
-      conn->decoder =
-          FrameDecoder(impl->config_.max_payload, impl->max_batch_payload_);
-      conn->last_activity = Clock::now();
-      poller_->add(conn->fd.get(), /*read=*/true, /*write=*/false);
-      conn->lru_it = lru_.insert(lru_.end(), conn.get());
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      conns_by_id_[conn->id] = conn.get();
-      const int cfd = conn->fd.get();
-      conns_by_fd_[cfd] = std::move(conn);
-      impl->connections_open.set(
-          impl->open_conns_.load(std::memory_order_relaxed));
-    }
-
-    /// Called by the accepting shard's thread.
-    void pushHandoff(util::UniqueFd fd) {
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu_);
-        inbox_.push_back(std::move(fd));
-      }
-      impl->signalShard(*this);
-    }
-
-    void adoptInbox() {
-      std::vector<util::UniqueFd> batch;
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu_);
-        if (inbox_.empty()) return;
-        batch.swap(inbox_);
-      }
-      for (util::UniqueFd& fd : batch) {
-        if (draining_) {
-          // Handed off just as the stop landed: close unserved.
-          impl->open_conns_.fetch_sub(1, std::memory_order_relaxed);
-          impl->connections_closed.add();
-          fd.reset();
-          continue;
-        }
-        adopt(std::move(fd));
-      }
-    }
-
-    void dropInbox() {
-      std::vector<util::UniqueFd> batch;
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu_);
-        batch.swap(inbox_);
-      }
-      for (util::UniqueFd& fd : batch) {
-        impl->open_conns_.fetch_sub(1, std::memory_order_relaxed);
-        impl->connections_closed.add();
-        fd.reset();
+        auto conn = std::make_unique<Connection>();
+        conn->id = next_conn_id_;
+        next_conn_id_ += impl->num_shards_;
+        conn->fd = std::move(fd);
+        conn->decoder =
+            FrameDecoder(impl->config_.max_payload, impl->max_batch_payload_);
+        conn->last_activity = Clock::now();
+        poller_.add(conn->fd.get(), /*read=*/true, /*write=*/false);
+        conn->lru_it = lru_.insert(lru_.end(), conn.get());
+        accepted_.fetch_add(1, std::memory_order_relaxed);
+        conns_by_id_[conn->id] = conn.get();
+        const int cfd = conn->fd.get();
+        conns_by_fd_[cfd] = std::move(conn);
+        impl->connections_open.set(
+            impl->open_conns_.load(std::memory_order_relaxed));
       }
     }
 
@@ -421,7 +295,7 @@ struct Server::Impl {
         parked_frames_.fetch_sub(1, std::memory_order_relaxed);
       }
       lru_.erase(conn->lru_it);
-      poller_->remove(conn->fd.get());
+      poller_.remove(conn->fd.get());
       conns_by_id_.erase(conn->id);
       impl->connections_closed.add();
       conns_by_fd_.erase(conn->fd.get());  // destroys conn, closes fd
@@ -432,7 +306,7 @@ struct Server::Impl {
 
     void updateInterest(Connection* conn) {
       const bool read = !conn->paused && !conn->closing && !draining_;
-      poller_->update(conn->fd.get(), read, conn->wantWrite());
+      poller_.update(conn->fd.get(), read, conn->wantWrite());
     }
 
     /// Flushes buffered output. False when the connection was closed.
@@ -583,6 +457,31 @@ struct Server::Impl {
       return flushConn(conn);
     }
 
+    /// Answers `request` with a status frame that no service work stands
+    /// behind (protocol error, bad batch envelope, admission reject,
+    /// parked-frame expiry), counts it in responses_sent and flushes. The
+    /// reply echoes the request's version, id and tenant; a protocol
+    /// error answers no request, so it bills no tenant and closes the
+    /// connection once flushed. False when the connection was closed.
+    bool replyStatus(Connection* conn, const Frame& request, Status status,
+                     std::string message) {
+      Frame reply;
+      reply.version = request.version;
+      reply.type = FrameType::kResponse;
+      reply.status = status;
+      reply.request_id = request.request_id;
+      if (status == Status::kProtocolError) {
+        conn->closing = true;
+        conn->paused = true;
+      } else {
+        reply.tenant = request.tenant;
+      }
+      reply.payload = std::move(message);
+      encodeFrame(reply, conn->out, impl->config_.max_payload);
+      impl->responses_sent.add();
+      return flushConn(conn);
+    }
+
     /// Decodes and dispatches frames until the buffer runs dry, the
     /// gate pauses the connection, or a protocol error ends it. False
     /// when the connection was closed.
@@ -594,19 +493,13 @@ struct Server::Impl {
             return true;
           case FrameDecoder::Result::kError: {
             impl->protocol_errors.add();
-            Frame err;
             // v1 layout: the one error frame EVERY decoder vintage
             // parses (the sender's version is unknowable once framing
             // is lost).
-            err.version = kVersionLegacy;
-            err.type = FrameType::kResponse;
-            err.status = Status::kProtocolError;
-            err.payload = conn->decoder.error();
-            encodeFrame(err, conn->out, impl->config_.max_payload);
-            conn->closing = true;
-            conn->paused = true;
-            updateInterest(conn);
-            return flushConn(conn);
+            Frame lost;
+            lost.version = kVersionLegacy;
+            return replyStatus(conn, lost, Status::kProtocolError,
+                               conn->decoder.error());
           }
           case FrameDecoder::Result::kFrame:
             break;
@@ -614,17 +507,8 @@ struct Server::Impl {
         if (frame.type != FrameType::kRequest &&
             frame.type != FrameType::kBatchRequest) {
           impl->protocol_errors.add();
-          Frame err;
-          err.version = frame.version;
-          err.type = FrameType::kResponse;
-          err.status = Status::kProtocolError;
-          err.request_id = frame.request_id;
-          err.payload = "expected a request frame";
-          encodeFrame(err, conn->out, impl->config_.max_payload);
-          conn->closing = true;
-          conn->paused = true;
-          updateInterest(conn);
-          return flushConn(conn);
+          return replyStatus(conn, frame, Status::kProtocolError,
+                             "expected a request frame");
         }
         impl->frames_received.add();
         if (frame.type == FrameType::kBatchRequest) {
@@ -637,16 +521,10 @@ struct Server::Impl {
           std::string env_err;
           if (!validateBatchRequest(frame.payload, impl->config_.max_payload,
                                     item_count, env_err)) {
-            Frame rej;
-            rej.version = frame.version;
-            rej.type = FrameType::kResponse;
-            rej.status = Status::kFailed;
-            rej.request_id = frame.request_id;
-            rej.tenant = frame.tenant;
-            rej.payload = std::move(env_err);
-            encodeFrame(rej, conn->out, impl->config_.max_payload);
-            impl->responses_sent.add();
-            if (!flushConn(conn)) return false;
+            if (!replyStatus(conn, frame, Status::kFailed,
+                             std::move(env_err))) {
+              return false;
+            }
             continue;
           }
         }
@@ -682,15 +560,9 @@ struct Server::Impl {
             (tenant_denied ? impl->tenant_rejected : impl->gate_rejected)
                 .add();
             impl->registry_.recordRejected(frame.tenant);
-            Frame rej;
-            rej.version = frame.version;
-            rej.type = FrameType::kResponse;
-            rej.status = Status::kRejected;
-            rej.request_id = frame.request_id;
-            rej.tenant = frame.tenant;
-            rej.payload = deny;
-            encodeFrame(rej, conn->out, impl->config_.max_payload);
-            if (!flushConn(conn)) return false;
+            if (!replyStatus(conn, frame, Status::kRejected, deny)) {
+              return false;
+            }
             continue;
           }
           // kBlock: park the frame and stop reading this connection;
@@ -749,16 +621,7 @@ struct Server::Impl {
           impl->releaseGate();
           impl->registry_.recordReply(frame.tenant, tenant::Outcome::kFailed,
                                       false, 0.0);
-          Frame rej;
-          rej.version = frame.version;
-          rej.type = FrameType::kResponse;
-          rej.status = Status::kFailed;
-          rej.request_id = frame.request_id;
-          rej.tenant = frame.tenant;
-          rej.payload = std::move(env_err);
-          encodeFrame(rej, conn->out, impl->config_.max_payload);
-          impl->responses_sent.add();
-          flushConn(conn);
+          replyStatus(conn, frame, Status::kFailed, std::move(env_err));
           return;
         }
         request.items.reserve(items.size());
@@ -912,17 +775,11 @@ struct Server::Impl {
             parked_frames_.fetch_sub(1, std::memory_order_relaxed);
             impl->requests_expired.add();
             impl->registry_.recordExpired(frame.tenant);
-            Frame resp;
-            resp.version = frame.version;
-            resp.type = FrameType::kResponse;
-            resp.status = Status::kExpired;
-            resp.request_id = frame.request_id;
-            resp.tenant = frame.tenant;
-            resp.payload = "deadline expired before admission";
-            encodeFrame(resp, conn->out, impl->config_.max_payload);
-            impl->responses_sent.add();
             conn->paused = false;
-            if (!flushConn(conn)) continue;
+            if (!replyStatus(conn, frame, Status::kExpired,
+                             "deadline expired before admission")) {
+              continue;
+            }
             processFrames(conn);
             continue;
           }
@@ -981,8 +838,7 @@ struct Server::Impl {
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(
                                  impl->config_.drain_timeout_s));
-      if (listen_fd_.valid()) poller_->remove(listen_fd_.get());
-      dropInbox();
+      poller_.remove(listen_fd_.get());
       for (auto& [fd, conn] : conns_by_fd_) updateInterest(conn.get());
     }
 
@@ -1050,27 +906,16 @@ struct Server::Impl {
       shards_.push_back(std::make_unique<Shard>(this, i));
     }
 
-    // Listener-per-shard via SO_REUSEPORT when asked and possible;
-    // otherwise one listener on shard 0 and the hand-off deal.
-    reuseport_ = config_.use_reuseport && num_shards_ > 1;
-    if (reuseport_) {
-      try {
-        shards_[0]->listen_fd_ =
-            makeListener(config_.bind_address, config_.port, true);
-        bound_port_ = localPort(shards_[0]->listen_fd_.get());
-        for (std::size_t i = 1; i < num_shards_; ++i) {
-          shards_[i]->listen_fd_ =
-              makeListener(config_.bind_address, bound_port_, true);
-        }
-      } catch (const util::Error&) {
-        for (auto& shard : shards_) shard->listen_fd_.reset();
-        reuseport_ = false;
-      }
-    }
-    if (!reuseport_) {
-      shards_[0]->listen_fd_ =
-          makeListener(config_.bind_address, config_.port, false);
-      bound_port_ = localPort(shards_[0]->listen_fd_.get());
+    // Every shard accepts on its own listener. With more than one shard
+    // they share the port through SO_REUSEPORT and the kernel spreads
+    // the handshakes.
+    const bool reuseport = num_shards_ > 1;
+    shards_[0]->listen_fd_ =
+        util::listenTcp(config_.bind_address, config_.port, reuseport);
+    bound_port_ = util::localPort(shards_[0]->listen_fd_.get());
+    for (std::size_t i = 1; i < num_shards_; ++i) {
+      shards_[i]->listen_fd_ =
+          util::listenTcp(config_.bind_address, bound_port_, reuseport);
     }
   }
 
@@ -1211,14 +1056,13 @@ struct Server::Impl {
   /// ServerConfig::max_batch_payload).
   std::uint32_t max_batch_payload_ = kMaxPayload;
   std::size_t num_shards_ = 1;
-  bool reuseport_ = false;  ///< mode actually in effect after binding
   std::uint16_t bound_port_ = 0;
 
   /// The global admission gate: requests inside the service across all
   /// shards. Shards acquire with a CAS loop, release per completion.
   std::atomic<std::size_t> in_flight_{0};
-  /// Live connections across all shards (including handed-off fds not
-  /// yet adopted) — the max_connections reservation counter.
+  /// Live connections across all shards — the max_connections
+  /// reservation counter.
   std::atomic<std::size_t> open_conns_{0};
   std::atomic<bool> stop_requested_{false};
 
@@ -1253,8 +1097,6 @@ Server::~Server() = default;
 std::uint16_t Server::port() const { return impl_->bound_port_; }
 
 std::size_t Server::reactors() const { return impl_->num_shards_; }
-
-bool Server::usingReuseport() const { return impl_->reuseport_; }
 
 void Server::run() { impl_->run(); }
 

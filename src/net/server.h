@@ -8,19 +8,16 @@
 //     decodes request frames, submits them to the SHARED PrioService via
 //     submitCallback(); worker threads push completed Replies onto the
 //     owning shard's completion queue and wake that shard through its
-//     eventfd (self-pipe fallback), so replies are serialized back onto
-//     their connection without any socket ever being touched from two
+//     eventfd (net/wakeup.h), so replies are serialized back onto their
+//     connection without any socket ever being touched from two
 //     threads. No connection, buffer, or poller is ever shared between
 //     shards.
-//   - Connection placement: with SO_REUSEPORT (Linux), every shard binds
-//     its own listener on the same address and the kernel spreads the
-//     handshakes. Where SO_REUSEPORT is unavailable — or with
-//     use_reuseport=false — shard 0 accepts and deals descriptors
-//     round-robin to sibling shards' inboxes (deterministic placement,
-//     which the tests exploit).
-//   - Readiness comes from epoll on Linux (level-triggered) with a
-//     portable poll(2) backend behind the same interface, one instance
-//     per shard; ServerConfig::use_epoll=false forces the fallback.
+//   - Connection placement: every shard binds its own listener on the
+//     same address (SO_REUSEPORT when there is more than one) and
+//     accepts for itself; the kernel spreads the handshakes, and
+//     prio_net_shard_connections shows how evenly.
+//   - Readiness comes from one level-triggered epoll instance per shard
+//     (net/poller.h).
 //   - Per-connection state machine: FRAMING connections run the binary
 //     protocol; a connection whose first bytes are "GET " flips to HTTP
 //     mode and is served one snapshot — "GET /metrics" (plaintext
@@ -71,13 +68,9 @@ struct ServerConfig {
   /// pause-vs-reject behaviour).
   service::ServiceConfig service;
   /// Reactor shards (event-loop threads). 0 = hardware_concurrency/2,
-  /// floored at 1. Each shard owns its connections exclusively.
+  /// floored at 1. Each shard owns its connections exclusively and, with
+  /// more than one, binds its own SO_REUSEPORT listener on the port.
   std::size_t reactors = 0;
-  /// With >1 shard on Linux, bind one SO_REUSEPORT listener per shard so
-  /// the kernel spreads connections. False forces the accept-and-hand-
-  /// off fallback (shard 0 accepts, deals round-robin — deterministic
-  /// placement, used by tests).
-  bool use_reuseport = true;
   /// Hard cap on simultaneous connections across all shards; extras are
   /// accepted and immediately closed.
   std::size_t max_connections = 1024;
@@ -97,8 +90,6 @@ struct ServerConfig {
   /// exceed the single-dag limit. 0 = 4x max_payload. Each item inside
   /// the envelope is still bounded by max_payload.
   std::uint32_t max_batch_payload = 0;
-  /// False forces the poll(2) backend even where epoll is available.
-  bool use_epoll = true;
   /// Tenant policies installed into the server's registry before
   /// serving: (tenant id, config) pairs — the priod_server --tenant
   /// flag. Tenants not listed here self-register with default policy
@@ -112,8 +103,8 @@ struct ServerConfig {
 class Server {
  public:
   /// Binds and listens (throws util::Error on failure) but does not
-  /// serve until run(). With reactors > 1 and use_reuseport, one
-  /// listener per shard is bound here (all on the same port).
+  /// serve until run(). One listener per shard is bound here, all on the
+  /// same port.
   explicit Server(const ServerConfig& config);
   ~Server();
   Server(const Server&) = delete;
@@ -125,10 +116,6 @@ class Server {
   /// The number of reactor shards actually serving (the resolved value
   /// of ServerConfig::reactors).
   [[nodiscard]] std::size_t reactors() const;
-
-  /// True when connections are kernel-distributed via SO_REUSEPORT
-  /// listeners; false in accept-and-hand-off mode.
-  [[nodiscard]] bool usingReuseport() const;
 
   /// Serves until requestStop(); returns after every shard drains. Call
   /// from exactly one thread — it becomes shard 0 and the remaining
@@ -184,9 +171,8 @@ class Server {
     /// Event-loop watchdog: worst observed time (µs) any shard's loop
     /// spent away from poll in one iteration.
     std::uint64_t loop_stall_max_us = 0;
-    /// Connections adopted by each shard, indexed by shard. Under
-    /// SO_REUSEPORT this is the kernel's distribution; in hand-off mode
-    /// it is the round-robin deal.
+    /// Connections adopted by each shard, indexed by shard: the kernel's
+    /// SO_REUSEPORT distribution.
     std::vector<std::uint64_t> shard_connections;
   };
   [[nodiscard]] Stats stats() const;

@@ -1,26 +1,19 @@
-// Cross-thread wakeup for a reactor shard: service workers (and
-// requestStop from a signal handler) signal(), the shard's poller waits
-// on fd(), the shard loop drain()s.
+// Cross-thread wakeup for an event loop: other threads (and requestStop
+// from a signal handler) signal(), the loop's poller waits on fd(), the
+// loop drain()s. Used by every reactor shard (net/server.cpp) and by the
+// chaos proxy's relay loop (net/chaos.cpp).
 //
-// On Linux this is an eventfd(2): one descriptor instead of a pipe
-// pair, and the kernel-side 64-bit counter makes coalescing structural —
-// a thousand signal()s between two loop iterations cost one readable
-// event and one 8-byte read, never a thousand buffered bytes. Where
-// eventfd is unavailable (or creation fails, e.g. fd exhaustion at
-// startup on an exotic kernel) the classic self-pipe takes over with
-// identical semantics: the pipe buffer saturates at pipe capacity and
-// EAGAIN on write just means a wake is already pending.
+// An eventfd(2): one descriptor, and the kernel-side 64-bit counter
+// makes coalescing structural — a thousand signal()s between two loop
+// iterations cost one readable event and one 8-byte read.
 //
 // signal() is async-signal-safe (a single write(2) on a pre-opened fd)
-// and never blocks: both fds are non-blocking, and a full counter/pipe
-// is exactly the "wake already pending" case.
+// and never blocks: the fd is non-blocking, and a full counter is
+// exactly the "wake already pending" case.
 #pragma once
 
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/eventfd.h>
-#endif
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
@@ -33,46 +26,21 @@ namespace prio::net {
 
 class Wakeup {
  public:
-  Wakeup() {
-#ifdef __linux__
-    const int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (efd >= 0) {
-      event_fd_.reset(efd);
-      return;
-    }
-#endif
-    int pipefd[2];
-    PRIO_CHECK_MSG(::pipe(pipefd) == 0, "pipe: " << std::strerror(errno));
-    pipe_r_.reset(pipefd[0]);
-    pipe_w_.reset(pipefd[1]);
-    PRIO_CHECK(util::setNonBlocking(pipe_r_.get()));
-    PRIO_CHECK(util::setNonBlocking(pipe_w_.get()));
-    util::setCloexec(pipe_r_.get());
-    util::setCloexec(pipe_w_.get());
+  Wakeup() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+    PRIO_CHECK_MSG(fd_.valid(), "eventfd: " << std::strerror(errno));
   }
 
   Wakeup(const Wakeup&) = delete;
   Wakeup& operator=(const Wakeup&) = delete;
 
   /// The descriptor to register for read interest with the poller.
-  [[nodiscard]] int fd() const noexcept {
-    return event_fd_.valid() ? event_fd_.get() : pipe_r_.get();
-  }
+  [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
-  [[nodiscard]] bool usingEventfd() const noexcept {
-    return event_fd_.valid();
-  }
-
-  /// Wakes the owning loop. Async-signal-safe; EAGAIN (counter or pipe
-  /// full) means a wake is already pending, which is success.
+  /// Wakes the owning loop. Async-signal-safe; EAGAIN (counter full)
+  /// means a wake is already pending, which is success.
   void signal() noexcept {
-    if (event_fd_.valid()) {
-      const std::uint64_t one = 1;
-      (void)!::write(event_fd_.get(), &one, sizeof(one));
-      return;
-    }
-    const char byte = 1;
-    (void)!::write(pipe_w_.get(), &byte, 1);
+    const std::uint64_t one = 1;
+    (void)!::write(fd_.get(), &one, sizeof(one));
   }
 
   /// Consumes every pending signal. Returns how many signal() calls were
@@ -80,31 +48,16 @@ class Wakeup {
   /// only — uses plain read(2), not the fault-injected helpers, because
   /// wakeups are control plane, not the byte stream under test.
   std::uint64_t drain() noexcept {
-    if (event_fd_.valid()) {
-      std::uint64_t count = 0;
-      long r;
-      do {
-        r = ::read(event_fd_.get(), &count, sizeof(count));
-      } while (r < 0 && errno == EINTR);
-      return r == static_cast<long>(sizeof(count)) ? count : 0;
-    }
-    std::uint64_t total = 0;
-    char buf[256];
-    for (;;) {
-      const long r = ::read(pipe_r_.get(), buf, sizeof(buf));
-      if (r > 0) {
-        total += static_cast<std::uint64_t>(r);
-        continue;
-      }
-      if (r < 0 && errno == EINTR) continue;
-      return total;
-    }
+    std::uint64_t count = 0;
+    long r;
+    do {
+      r = ::read(fd_.get(), &count, sizeof(count));
+    } while (r < 0 && errno == EINTR);
+    return r == static_cast<long>(sizeof(count)) ? count : 0;
   }
 
  private:
-  util::UniqueFd event_fd_;  ///< Linux fast path; invalid on fallback
-  util::UniqueFd pipe_r_;
-  util::UniqueFd pipe_w_;
+  util::UniqueFd fd_;
 };
 
 }  // namespace prio::net

@@ -6,6 +6,11 @@
 // close-on-exec (SOCK_CLOEXEC) so a fork+exec elsewhere in the process
 // never leaks a connection.
 //
+// listenTcp()/acceptNonBlocking() are the one listener setup and accept
+// path shared by the server's reactor shards and the chaos proxy: the
+// listener and every accepted connection are non-blocking and
+// close-on-exec from birth.
+//
 // readSome()/writeSome() wrap read()/write() in the canonical EINTR
 // retry loop: a signal that interrupts the syscall before any bytes move
 // must restart it, not surface a phantom error. Both carry a fault-
@@ -25,7 +30,9 @@
 // descriptor that another thread has already been handed.
 #pragma once
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -33,7 +40,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "util/check.h"
 #include "util/fault_injection.h"
 
 namespace prio::util {
@@ -83,19 +94,59 @@ class UniqueFd {
   return UniqueFd(::socket(domain, type | SOCK_CLOEXEC, protocol));
 }
 
+/// A bound, listening, non-blocking IPv4 TCP socket on address:port
+/// (port 0 = kernel-chosen ephemeral). `reuseport` sets SO_REUSEPORT so
+/// several listeners can share one port. Throws util::Error on failure.
+[[nodiscard]] inline UniqueFd listenTcp(const std::string& address,
+                                       std::uint16_t port, bool reuseport) {
+  UniqueFd fd = socketCloexec(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  PRIO_CHECK_MSG(fd.valid(), "socket: " << std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (reuseport) {
+    PRIO_CHECK_MSG(::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
+                                sizeof(one)) == 0,
+                   "setsockopt(SO_REUSEPORT): " << std::strerror(errno));
+  }
+  struct sockaddr_in addr {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  PRIO_CHECK_MSG(::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) == 1,
+                 "bad bind address " << address);
+  PRIO_CHECK_MSG(::bind(fd.get(), reinterpret_cast<struct sockaddr*>(&addr),
+                        sizeof(addr)) == 0,
+                 "bind " << address << ":" << port << ": "
+                         << std::strerror(errno));
+  PRIO_CHECK_MSG(::listen(fd.get(), 256) == 0,
+                 "listen: " << std::strerror(errno));
+  return fd;
+}
+
+/// The local port a bound socket listens on.
+[[nodiscard]] inline std::uint16_t localPort(int fd) {
+  struct sockaddr_in bound {};
+  socklen_t len = sizeof(bound);
+  PRIO_CHECK(::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),
+                           &len) == 0);
+  return ntohs(bound.sin_port);
+}
+
+/// accept4(2) of one pending connection, non-blocking and close-on-exec,
+/// retried on EINTR. Invalid UniqueFd when none is pending (EAGAIN) or
+/// the accept failed (errno set).
+[[nodiscard]] inline UniqueFd acceptNonBlocking(int listen_fd) {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0 || errno != EINTR) return UniqueFd(fd);
+  }
+}
+
 /// Puts `fd` into non-blocking mode. False on failure (errno set).
 inline bool setNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Sets FD_CLOEXEC on `fd` (for descriptors not created *_CLOEXEC, e.g.
-/// accept() on kernels without accept4). False on failure.
-inline bool setCloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC) == 0;
 }
 
 namespace detail {

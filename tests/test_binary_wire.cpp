@@ -688,8 +688,14 @@ TEST(BinaryWire, MixedVersionClientsInterleaveOnOneSocket) {
     ASSERT_FALSE(dec.failed()) << dec.error();
   }
 
-  // Responses arrive in request order; each echoes its request version.
+  // Replies leave in completion order (the fixture runs one worker per
+  // hardware thread), so match them to requests by id, the documented
+  // contract. Each echoes its request version.
   ASSERT_EQ(replies.size(), 4u);
+  std::sort(replies.begin(), replies.end(),
+            [](const Frame& a, const Frame& b) {
+              return a.request_id < b.request_id;
+            });
   EXPECT_EQ(replies[0].request_id, 1u);
   EXPECT_EQ(replies[0].version, net::kVersionLegacy);
   EXPECT_EQ(replies[0].status, Status::kOk);
