@@ -361,11 +361,10 @@ int main() {
   server_thread.join();
   const prio::net::Server::Stats final_stats = server.stats();
 
-  // Parse-share split: fresh servers with the response memo, parse
-  // cache, and fingerprint cache all off, so every request pays its
-  // full parse + schedule cost; the share is phase_parse's fraction of
-  // total recorded phase time. This is the figure the binary payload
-  // exists to collapse. Measured at c=1 with a single worker: the
+  // Parse-share split: fresh servers with both caches off, so every
+  // request pays its full parse + schedule cost; the share is
+  // phase_parse's fraction of total recorded phase time. This is the
+  // figure the binary payload exists to collapse. Measured at c=1 with a single worker: the
   // share is a per-request cost ratio, and phase spans record wall
   // time, so any preemption under concurrency inflates short spans
   // (the binary decode most of all) and turns the ratio into a
@@ -375,7 +374,6 @@ int main() {
     cold.port = 0;
     cold.service.num_threads = 1;
     cold.service.cache_capacity = 0;
-    cold.service.parse_cache_capacity = 0;
     prio::net::Server cold_server(cold);
     std::thread cold_thread([&] { cold_server.run(); });
     runLoad(cold_server.port(), 1, std::min(seconds, 1.0),

@@ -23,7 +23,8 @@
 //                 it uses idle workers to cut single-request latency.
 //   --queue N     pending-request bound (default 256)
 //   --reject      shed load when the queue is full instead of blocking
-//   --cache N     result-cache capacity in entries (default 1024; 0 = off)
+//   --cache N     result-cache capacity in entries (default 1024);
+//                 0 turns off every cache
 //   --shards N    cache shards (default 16)
 //   --no-output   prioritize only; skip writing instrumented files
 //   --deadline-ms N        per-request compute deadline; on expiry the

@@ -16,7 +16,8 @@
 //   --queue N       pending-request bound (default 256)
 //   --reject        full queue / full gate answers kRejected instead of
 //                   applying TCP backpressure
-//   --cache N       result-cache capacity in entries (default 1024; 0 = off)
+//   --cache N       result-cache capacity in entries (default 1024);
+//                   0 turns off every cache
 //   --max-in-flight N     admission gate: requests inside the service at
 //                   once across all connections (default 256)
 //   --max-connections N   simultaneous connection cap (default 1024)

@@ -155,18 +155,6 @@ PrioResult prioritize(const PrioRequest& request) {
   return out;
 }
 
-PrioResult prioritize(const dag::Digraph& g, const PrioOptions& options) {
-  return prioritize(PrioRequest(g, options));
-}
-
-PrioResult prioritizeWithReduction(const dag::Digraph& g,
-                                   const dag::Digraph& reduced,
-                                   const PrioOptions& options) {
-  PrioRequest request(g, options);
-  request.reduced = &reduced;
-  return prioritize(request);
-}
-
 std::vector<dag::NodeId> prioSchedule(const dag::Digraph& g,
                                       const PrioOptions& options) {
   return prioritize(PrioRequest(g, options)).schedule;

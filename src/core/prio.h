@@ -15,18 +15,14 @@
 // and the superdag respects ⊵ along its arcs (§2.2 steps 4–5), the
 // produced schedule is IC-optimal and certified_ic_optimal is set.
 //
-// API (since PRIO_API_VERSION 2, see src/prio.h): one request aggregate,
+// API (stability contract in src/prio.h): one request aggregate,
 //
 //   core::PrioRequest request(my_dag);
 //   request.options.schedule_threads = 4;
 //   request.options.trace = tracer.beginTrace();
 //   core::PrioResult result = core::prioritize(request);
 //
-// replaces the accreted parameter-and-overload surface of earlier
-// versions. The old entry points — prioritize(g, options),
-// prioritizeWithReduction(g, reduced, options) — remain as thin
-// deprecated shims with bit-identical output (tests/test_obs.cpp pins
-// the equivalence) and will be removed in a future API version.
+// is the entry point into the pipeline.
 #pragma once
 
 #include <cstddef>
@@ -155,19 +151,6 @@ struct PrioResult {
 /// safe (this is what the prioritization service in src/service/ relies
 /// on, and what tests/test_service.cpp exercises under TSan).
 [[nodiscard]] PrioResult prioritize(const PrioRequest& request);
-
-/// DEPRECATED shim (pre-PrioRequest API): prioritize(PrioRequest(g,
-/// options)) verbatim. Scheduled for removal; see PRIO_API_VERSION.
-[[deprecated("build a PrioRequest and call prioritize(request)")]]
-[[nodiscard]] PrioResult prioritize(const dag::Digraph& g,
-                                    const PrioOptions& options = {});
-
-/// DEPRECATED shim: a PrioRequest with `reduced` set. Scheduled for
-/// removal; see PRIO_API_VERSION.
-[[deprecated("set PrioRequest::reduced and call prioritize(request)")]]
-[[nodiscard]] PrioResult prioritizeWithReduction(
-    const dag::Digraph& g, const dag::Digraph& reduced,
-    const PrioOptions& options = {});
 
 /// Convenience: just the schedule.
 [[nodiscard]] std::vector<dag::NodeId> prioSchedule(

@@ -301,12 +301,14 @@ struct ChaosProxy::Impl {
 
   bool killConn(Conn& c, bool reset, bool count) {
     if (reset) {
-      closeWithReset(c.client);
-      closeWithReset(c.upstream);
+      // Count before closing: a client that sees the reset may read the
+      // stats at once.
       if (count) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.resets_injected;
       }
+      closeWithReset(c.client);
+      closeWithReset(c.upstream);
     } else {
       c.client.reset();
       c.upstream.reset();

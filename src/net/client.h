@@ -109,11 +109,6 @@ struct Response {
   [[nodiscard]] bool hasOutput() const {
     return status == Status::kOk || status == Status::kDegraded;
   }
-  /// Pre-v3 spelling of result().usable for single text responses.
-  [[deprecated("use result().usable")]] [[nodiscard]] bool usableOutput()
-      const {
-    return hasOutput() && !payload.empty();
-  }
 };
 
 class Client {

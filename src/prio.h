@@ -9,16 +9,21 @@
 //
 // Stability contract (DESIGN.md §10): everything re-exported here is the
 // public surface. PRIO_API_VERSION bumps when that surface changes
-// incompatibly; entry points marked [[deprecated]] (the pre-PrioRequest
-// overloads of prioritize/scheduleComponents) keep bit-identical
-// behavior for one version and are removed at the next bump.
+// incompatibly. A replaced entry point may stay one version as a
+// deprecated shim with bit-identical behavior; it is removed at the next
+// bump. No shim is live at version 3.
 #pragma once
 
-/// Public API version. 2 = the PrioRequest/PrioOptions aggregate API plus
-/// the obs observability layer (metrics registry + structured tracing);
-/// 1 = the original loose-overload surface, still available as deprecated
-/// shims.
-#define PRIO_API_VERSION 2
+/// Public API version.
+///   3 = version 2 without its deprecated shims (the loose prioritize()
+///       overloads, prioritizeWithReduction(), the three-argument
+///       scheduleComponents(), service::TextRequest and
+///       net::Response::usableOutput()) and without ServiceConfig's
+///       text_cache_capacity and parse_cache_capacity/_shards.
+///   2 = the PrioRequest/PrioOptions aggregate API plus the obs
+///       observability layer (metrics registry + structured tracing).
+///   1 = the original loose-overload surface.
+#define PRIO_API_VERSION 3
 
 // Substrates.
 #include "dag/algorithms.h"   // IWYU pragma: export

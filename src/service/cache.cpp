@@ -1,6 +1,9 @@
 #include "service/cache.h"
 
+#include <functional>
+#include <iterator>
 #include <mutex>
+#include <string_view>
 #include <utility>
 
 #include "util/check.h"
@@ -25,6 +28,58 @@ struct KeyHash {
 };
 
 }  // namespace
+
+PayloadCache::PayloadCache(std::size_t budget_bytes) : budget_(budget_bytes) {}
+
+std::uint64_t PayloadCache::keyOf(const Payload& payload) noexcept {
+  const std::uint64_t h = std::hash<std::string_view>{}(payload.bytes);
+  return h ^ (static_cast<std::uint64_t>(payload.kind) * 0x9e3779b97f4a7c15ULL);
+}
+
+bool PayloadCache::find(std::uint64_t key, const Payload& payload,
+                        Rendered& out) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end() || it->second->payload.kind != payload.kind ||
+      it->second->payload.bytes != payload.bytes) {
+    return false;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  out = it->second->rendered;
+  return true;
+}
+
+void PayloadCache::insert(std::uint64_t key, Payload payload,
+                          Rendered rendered) {
+  const std::size_t cost = payload.bytes.size() + rendered.output.size();
+  if (cost > budget_) return;
+  // Build the node before taking the lock, and free whatever it displaces
+  // after releasing it: the lock covers list and index updates only.
+  std::list<Entry> node;
+  node.push_back(Entry{key, std::move(payload), std::move(rendered)});
+  std::list<Entry> displaced;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto drop = [&](std::list<Entry>::iterator victim) {
+    bytes_ -= victim->payload.bytes.size() + victim->rendered.output.size();
+    index_.erase(victim->key);
+    displaced.splice(displaced.end(), lru_, victim);
+  };
+  if (const auto it = index_.find(key); it != index_.end()) drop(it->second);
+  while (bytes_ + cost > budget_) drop(std::prev(lru_.end()));
+  lru_.splice(lru_.begin(), node);
+  index_.emplace(key, lru_.begin());
+  bytes_ += cost;
+}
+
+std::size_t PayloadCache::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return lru_.size();
+}
+
+std::size_t PayloadCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
 
 struct ResultCache::Shard {
   struct Entry {

@@ -1,8 +1,15 @@
-// Sharded LRU memo of PrioResults keyed by structural DAG fingerprint.
+// The service's two caches, each holding only what a reply renders.
 //
-// Shard selection hashes the fingerprint, so concurrent lookups of
-// different dags almost never contend on the same mutex; within a shard a
-// classic unordered_map + intrusive LRU list gives O(1) find/insert/evict.
+// PayloadCache: exact (kind, bytes) of a payload → the reply rendered
+// for it. One LRU bounded by the bytes its entries hold, in front of
+// everything else: a hit skips decode, fingerprint and render.
+//
+// ResultCache: sharded LRU of compact PrioResults keyed by structural
+// DAG fingerprint — what a dag whose bytes differ (renamed jobs, other
+// payload kind) still shares with one seen before. Shard selection
+// hashes the fingerprint, so concurrent lookups of different dags almost
+// never contend on the same mutex; within a shard a classic
+// unordered_map + intrusive LRU list gives O(1) find/insert/evict.
 //
 // Soundness across fingerprint collisions: the structural fingerprint is
 // isomorphism-stable, but a stored result encodes node *ids* — reusing it
@@ -19,17 +26,92 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/prio.h"
 
 namespace prio::service {
 
+/// How a Payload's bytes encode a dag. Mirrors net::PayloadKind (the v3
+/// wire payload_kind byte) without depending on the net layer.
+enum class PayloadKind : std::uint8_t {
+  kDagmanText = 0,  ///< DAGMan input-file text
+  kBinaryCsr = 1,   ///< BDAG binary layout (dag/csr.h)
+};
+
+/// One dag, as bytes plus the tag saying how to decode them: the service
+/// decodes by tag (text parser or binary-CSR decoder) and renders the
+/// reply in the same kind (instrumented text / BPRI priority table).
+struct Payload {
+  PayloadKind kind = PayloadKind::kDagmanText;
+  std::string bytes;
+
+  [[nodiscard]] static Payload text(std::string dag_text) {
+    return {PayloadKind::kDagmanText, std::move(dag_text)};
+  }
+  [[nodiscard]] static Payload binary(std::string bdag_bytes) {
+    return {PayloadKind::kBinaryCsr, std::move(bdag_bytes)};
+  }
+};
+
 /// Shared-ownership handle to a memoized result. Replies keep results
 /// alive after eviction, so eviction never invalidates an outstanding
-/// reply.
+/// reply. The service stores compact results: schedule, priority,
+/// certified_ic_optimal, shortcuts_removed and timings only.
 using CachedResult = std::shared_ptr<const core::PrioResult>;
+
+class PayloadCache {
+ public:
+  /// What a hit restores into the reply.
+  struct Rendered {
+    std::string output;  ///< rendered in the payload's own kind
+    CachedResult result;
+    std::uint64_t fingerprint = 0;
+    std::uint64_t layout = 0;
+  };
+
+  /// `budget_bytes` bounds the payload plus output bytes held.
+  explicit PayloadCache(std::size_t budget_bytes);
+
+  PayloadCache(const PayloadCache&) = delete;
+  PayloadCache& operator=(const PayloadCache&) = delete;
+
+  /// Routes a payload to its entry: std::hash of the bytes folded with
+  /// the kind. Only routes — the stored payload decides a hit, so a
+  /// collision is a miss, never a wrong answer.
+  [[nodiscard]] static std::uint64_t keyOf(const Payload& payload) noexcept;
+
+  /// Copies the entry stored under `key` for exactly `payload` into
+  /// `out`; a hit refreshes LRU recency.
+  [[nodiscard]] bool find(std::uint64_t key, const Payload& payload,
+                          Rendered& out);
+
+  /// Stores (or replaces) the entry under `key`, evicting least recently
+  /// used entries until it fits. An entry larger than the whole budget is
+  /// not stored and evicts nothing.
+  void insert(std::uint64_t key, Payload payload, Rendered rendered);
+
+  [[nodiscard]] std::size_t size() const;
+  /// Payload plus output bytes currently held.
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  struct Entry {
+    std::uint64_t key = 0;
+    Payload payload;
+    Rendered rendered;
+  };
+
+  const std::size_t budget_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::size_t bytes_ = 0;
+};
 
 class ResultCache {
  public:

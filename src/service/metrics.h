@@ -75,12 +75,14 @@ struct ServiceMetrics {
   // Cache outcomes (completed requests only).
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
-  /// Subset of cache_hits answered by the serialized-response memo
-  /// (byte-identical wire request; parse and serialize skipped too).
+  /// Subset of cache_hits answered by the payload cache (byte-identical
+  /// payload; decode, fingerprint and render skipped too). The name
+  /// predates binary payloads, which count here as well.
   obs::Counter& text_cache_hits;
-  /// Requests whose payload-bytes → parsed-dag lookup hit (parser
-  /// skipped even though the response memo missed, e.g. a different
-  /// deadline or output kind on the same dag bytes).
+  /// Always 0. The parse cache it counted is gone (the payload cache
+  /// covers every hit it gave), but the family stays registered and
+  /// exported in metrics.json and on /metrics: dashboards and
+  /// perfbench's traced run look `prio_parse_cache_hits` up by name.
   obs::Counter& parse_cache_hits;
   /// Structural-fingerprint hit whose stored result was computed under a
   /// different node-id layout: sound to detect, unsound to reuse — served

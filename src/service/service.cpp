@@ -1,15 +1,13 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <deque>
 #include <exception>
-#include <list>
-#include <mutex>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "dag/csr.h"
 #include "dag/fingerprint.h"
@@ -25,159 +23,25 @@ namespace prio::service {
 
 namespace {
 
-/// FNV-1a over the payload tag byte then the raw request bytes — routes
-/// response-memo and parse-cache lookups; the stored payload decides
-/// (collisions degrade to misses, never wrong hits).
-std::uint64_t hashPayload(const Payload& p) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h ^= static_cast<unsigned char>(p.kind);
-  h *= 1099511628211ULL;
-  for (const unsigned char c : p.bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+/// The payload cache's byte budget. reuse-mix's whole 384-dag pool takes
+/// about 6 MB (7.85 KB requests, 8.18 KB replies); one paper-scale entry
+/// about 1.7 MB, so about 19 of those fit.
+constexpr std::size_t kPayloadCacheBytes = std::size_t{32} << 20;
+
+/// What a result keeps once its request ends: the fields a reply renders
+/// or reports. The decomposition, component schedules and combine state
+/// are freed here instead of living on in the caches.
+CachedResult compact(core::PrioResult full) {
+  auto out = std::make_shared<core::PrioResult>();
+  out->schedule = std::move(full.schedule);
+  out->priority = std::move(full.priority);
+  out->certified_ic_optimal = full.certified_ic_optimal;
+  out->shortcuts_removed = full.shortcuts_removed;
+  out->timings = full.timings;
+  return out;
 }
 
-/// The decode result of one payload, shared between the parse cache and
-/// in-flight requests. Immutable once built: instrumentation always
-/// works on a copy of `file`.
-struct ParsedDag {
-  dagman::DagmanFile file;  ///< empty for binary payloads
-  dag::Digraph graph;
-  std::vector<std::size_t> job_of_node;  ///< rescue dags only
-  bool has_done = false;
-  bool from_binary = false;
-};
-
 }  // namespace
-
-/// Serialized-response memo for the payload path: exact (kind, bytes) →
-/// rendered output (plus the Reply fields a hit must restore). One
-/// mutex over an LRU map — a hit copies two strings under the lock,
-/// which at wire sizes (~60KB) is still two orders of magnitude cheaper
-/// than the parse + reduce + instrument + serialize pipeline it skips.
-struct PrioService::TextCache {
-  struct Entry {
-    Payload payload;
-    std::string output;
-    PayloadKind output_kind = PayloadKind::kDagmanText;
-    std::shared_ptr<const core::PrioResult> result;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t layout = 0;
-    std::list<std::uint64_t>::iterator lru_it;
-  };
-
-  explicit TextCache(std::size_t cap) : capacity(cap) {}
-
-  bool find(std::uint64_t key, const Payload& payload, Reply& reply) {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = map.find(key);
-    if (it == map.end() || it->second.payload.kind != payload.kind ||
-        it->second.payload.bytes != payload.bytes) {
-      return false;
-    }
-    lru.splice(lru.end(), lru, it->second.lru_it);
-    reply.output = it->second.output;
-    reply.output_kind = it->second.output_kind;
-    reply.result = it->second.result;
-    reply.fingerprint = it->second.fingerprint;
-    reply.layout = it->second.layout;
-    return true;
-  }
-
-  void insert(std::uint64_t key, const Payload& payload,
-              const Reply& reply) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = map.find(key);
-    if (it != map.end()) {
-      lru.splice(lru.end(), lru, it->second.lru_it);
-    } else {
-      if (map.size() >= capacity && !lru.empty()) {
-        map.erase(lru.front());
-        lru.pop_front();
-      }
-      it = map.emplace(key, Entry{}).first;
-      it->second.lru_it = lru.insert(lru.end(), key);
-    }
-    Entry& e = it->second;
-    e.payload = payload;
-    e.output = reply.output;
-    e.output_kind = reply.output_kind;
-    e.result = reply.result;
-    e.fingerprint = reply.fingerprint;
-    e.layout = reply.layout;
-  }
-
-  std::mutex mu;
-  const std::size_t capacity;
-  std::unordered_map<std::uint64_t, Entry> map;
-  std::list<std::uint64_t> lru;  ///< front = coldest
-};
-
-/// Parse-result cache: (kind, bytes) → ParsedDag, sharded LRU in front
-/// of the fingerprint cache. Values are shared_ptr snapshots — a hit
-/// hands back the pointer and releases the shard lock before the
-/// request touches the dag, so eviction never invalidates in-flight
-/// work. Sharded like ResultCache: the key's low bits pick the shard,
-/// each shard holds capacity/shards entries behind its own mutex.
-struct PrioService::ParseCache {
-  struct Entry {
-    Payload payload;
-    std::shared_ptr<const ParsedDag> parsed;
-    std::list<std::uint64_t>::iterator lru_it;
-  };
-
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> map;
-    std::list<std::uint64_t> lru;  ///< front = coldest
-  };
-
-  ParseCache(std::size_t capacity, std::size_t num_shards)
-      : shards(std::max<std::size_t>(num_shards, 1)),
-        per_shard_capacity(
-            std::max<std::size_t>(capacity / shards.size(), 1)) {}
-
-  Shard& shardOf(std::uint64_t key) {
-    return shards[static_cast<std::size_t>(key) % shards.size()];
-  }
-
-  std::shared_ptr<const ParsedDag> find(std::uint64_t key,
-                                        const Payload& payload) {
-    Shard& shard = shardOf(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end() || it->second.payload.kind != payload.kind ||
-        it->second.payload.bytes != payload.bytes) {
-      return nullptr;
-    }
-    shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_it);
-    return it->second.parsed;
-  }
-
-  void insert(std::uint64_t key, const Payload& payload,
-              std::shared_ptr<const ParsedDag> parsed) {
-    Shard& shard = shardOf(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_it);
-    } else {
-      if (shard.map.size() >= per_shard_capacity && !shard.lru.empty()) {
-        shard.map.erase(shard.lru.front());
-        shard.lru.pop_front();
-      }
-      it = shard.map.emplace(key, Entry{}).first;
-      it->second.lru_it = shard.lru.insert(shard.lru.end(), key);
-    }
-    it->second.payload = payload;
-    it->second.parsed = std::move(parsed);
-  }
-
-  std::deque<Shard> shards;
-  const std::size_t per_shard_capacity;
-};
 
 PrioService::PrioService(const ServiceConfig& config)
     : config_(config),
@@ -185,15 +49,9 @@ PrioService::PrioService(const ServiceConfig& config)
                  ? nullptr
                  : std::make_unique<ResultCache>(config.cache_capacity,
                                                 config.cache_shards)),
-      text_cache_(config.cache_capacity == 0 || config.text_cache_capacity == 0
-                      ? nullptr
-                      : std::make_unique<TextCache>(
-                            config.text_cache_capacity)),
-      parse_cache_(
-          config.cache_capacity == 0 || config.parse_cache_capacity == 0
-              ? nullptr
-              : std::make_unique<ParseCache>(config.parse_cache_capacity,
-                                             config.parse_cache_shards)),
+      payload_cache_(config.cache_capacity == 0
+                         ? nullptr
+                         : std::make_unique<PayloadCache>(kPayloadCacheBytes)),
       fair_(config.tenants == nullptr
                 ? nullptr
                 : std::make_shared<tenant::FairQueue>(config.queue_capacity,
@@ -276,8 +134,7 @@ void PrioService::serveDigraph(const dag::Digraph& g, Reply& reply,
   }
 
   try {
-    auto result =
-        std::make_shared<const core::PrioResult>(core::prioritize(request));
+    CachedResult result = compact(core::prioritize(request));
     core::PhaseTimings timings = result->timings;
     timings.reduce_s = reduce_s;  // reduction ran in the fingerprint step
     metrics_.recordPhases(timings);
@@ -327,87 +184,80 @@ void PrioService::serveFile(const FileRequest& request, Reply& reply,
   }
 }
 
-void PrioService::servePayload(const Request& request, Reply& reply,
+void PrioService::servePayload(const Payload& payload, Reply& reply,
                                const obs::TraceContext& trace,
                                double budget_s) {
   util::fault::checkpoint("service.parse");
-  if (request.payload.kind == PayloadKind::kBinaryCsr) {
-    metrics_.binary_requests.add();
-  }
+  const bool binary = payload.kind == PayloadKind::kBinaryCsr;
+  if (binary) metrics_.binary_requests.add();
 
-  // Serialized-response memo: byte-identical payloads that previously
-  // completed kOk skip the whole pipeline. The checkpoint above still
-  // fires first, so fault injection sees every request.
-  std::uint64_t payload_key = 0;
-  const bool keyed = text_cache_ != nullptr || parse_cache_ != nullptr;
-  if (keyed) payload_key = hashPayload(request.payload);
-  if (text_cache_ != nullptr &&
-      text_cache_->find(payload_key, request.payload, reply)) {
-    reply.cache_hit = true;
-    metrics_.cache_hits.add();
-    metrics_.text_cache_hits.add();
-    return;
-  }
-
-  // Parse cache: same dag bytes seen before (under any deadline or
-  // tenant) skip the decoder entirely. On a miss the decode is timed
-  // into phase_parse — the numerator of the bench parse share.
-  std::shared_ptr<const ParsedDag> parsed;
-  if (parse_cache_ != nullptr) {
-    parsed = parse_cache_->find(payload_key, request.payload);
-    if (parsed != nullptr) metrics_.parse_cache_hits.add();
-  }
-  if (parsed == nullptr) {
-    util::Stopwatch parse_watch;
-    auto fresh = std::make_shared<ParsedDag>();
-    {
-      obs::Span span(trace, "service.parse");
-      if (request.payload.kind == PayloadKind::kBinaryCsr) {
-        fresh->graph = dag::decodeBinaryDag(request.payload.bytes);
-        fresh->from_binary = true;
-      } else {
-        std::istringstream in(request.payload.bytes);
-        fresh->file = dagman::DagmanFile::parse(in);
-        fresh->has_done = fresh->file.hasDoneJobs();
-        fresh->graph = fresh->has_done
-                           ? fresh->file.toPendingDigraph(&fresh->job_of_node)
-                           : fresh->file.toDigraph();
-      }
-    }
-    metrics_.phase_parse.record(parse_watch.elapsedSeconds());
-    parsed = std::move(fresh);
-    if (parse_cache_ != nullptr) {
-      parse_cache_->insert(payload_key, request.payload, parsed);
+  // Payload cache: byte-identical payloads that previously completed kOk
+  // skip the whole pipeline. The checkpoint above still fires first, so
+  // fault injection sees every request.
+  std::uint64_t key = 0;
+  if (payload_cache_ != nullptr) {
+    key = PayloadCache::keyOf(payload);
+    PayloadCache::Rendered hit;
+    if (payload_cache_->find(key, payload, hit)) {
+      reply.output = std::move(hit.output);
+      reply.output_kind = payload.kind;
+      reply.result = std::move(hit.result);
+      reply.fingerprint = hit.fingerprint;
+      reply.layout = hit.layout;
+      reply.cache_hit = true;
+      metrics_.cache_hits.add();
+      metrics_.text_cache_hits.add();
+      return;
     }
   }
 
-  serveDigraph(parsed->graph, reply, trace, budget_s);
+  // Decode into locals; the timed decode is phase_parse, the numerator
+  // of the bench parse share.
+  dagman::DagmanFile file;  // text payloads only
+  dag::Digraph g;
+  std::vector<std::size_t> job_of_node;  // rescue dags only
+  bool has_done = false;
+  const util::Stopwatch parse_watch;
+  {
+    obs::Span span(trace, "service.parse");
+    if (binary) {
+      g = dag::decodeBinaryDag(payload.bytes);
+    } else {
+      std::istringstream in(payload.bytes);
+      file = dagman::DagmanFile::parse(in);
+      has_done = file.hasDoneJobs();
+      g = has_done ? file.toPendingDigraph(&job_of_node) : file.toDigraph();
+    }
+  }
+  metrics_.phase_parse.record(parse_watch.elapsedSeconds());
+
+  serveDigraph(g, reply, trace, budget_s);
 
   // Render the answer in the payload's own kind. Binary replies skip
   // DagmanFile entirely — the BPRI table is node-id-indexed, exactly
-  // the priority vector's order.
-  if (request.payload.kind == PayloadKind::kBinaryCsr) {
+  // the priority vector's order. Text replies instrument the file just
+  // parsed, in place.
+  if (binary) {
     reply.output = dag::encodeBinaryPriorities(reply.result->priority);
-    reply.output_kind = PayloadKind::kBinaryCsr;
   } else {
-    // The cached ParsedDag is shared and immutable; instrument a copy.
-    dagman::DagmanFile file = parsed->file;
-    if (parsed->has_done) {
+    if (has_done) {
       dagman::instrumentPendingJobs(file, reply.result->priority,
-                                    parsed->job_of_node);
+                                    job_of_node);
     } else {
       dagman::instrumentDagmanFile(file, reply.result->priority);
     }
     std::ostringstream out;
     file.write(out);
     reply.output = std::move(out).str();
-    reply.output_kind = PayloadKind::kDagmanText;
   }
+  reply.output_kind = payload.kind;
 
-  // Only full-fidelity results are memoized: degraded (deadline
-  // fallback) output must not be replayed to later, unhurried requests.
-  if (text_cache_ != nullptr && reply.status == RequestStatus::kOk) {
-    text_cache_->insert(payload_key, request.payload, reply);
+  // Only full-fidelity results are stored: degraded (deadline fallback)
+  // output must not be replayed to later, unhurried requests.
+  if (payload_cache_ != nullptr && reply.status == RequestStatus::kOk) {
+    payload_cache_->insert(
+        key, payload,
+        {reply.output, reply.result, reply.fingerprint, reply.layout});
   }
 }
 
@@ -434,10 +284,7 @@ void PrioService::serveBatch(const BatchRequest& request, Reply& reply,
       }
     }
     try {
-      Request single;
-      single.payload = payload;
-      single.tenant = request.tenant;
-      servePayload(single, item_reply, trace, remaining_s);
+      servePayload(payload, item_reply, trace, remaining_s);
     } catch (const util::TransientError& e) {
       item_reply.result.reset();
       item_reply.status = RequestStatus::kFailed;
@@ -456,54 +303,30 @@ void PrioService::serveBatch(const BatchRequest& request, Reply& reply,
   }
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void PrioService::serveText(const TextRequest& request, Reply& reply,
-                            const obs::TraceContext& trace, double budget_s) {
-  Request typed;
-  typed.payload = Payload::text(request.dag_text);
-  typed.trace_id = request.trace_id;
-  typed.tenant = request.tenant;
-  typed.deadline_s = request.deadline_s;
-  servePayload(typed, reply, trace, budget_s);
-}
-#pragma GCC diagnostic pop
-
 namespace {
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 const std::string& sourceOf(const FileRequest& r) { return r.input_path; }
 std::string sourceOf(const dag::Digraph&) { return {}; }
-std::string sourceOf(const TextRequest&) { return {}; }
 std::string sourceOf(const Request&) { return {}; }
 std::string sourceOf(const BatchRequest&) { return {}; }
 
 std::uint64_t adoptedTraceId(const FileRequest&) { return 0; }
 std::uint64_t adoptedTraceId(const dag::Digraph&) { return 0; }
-std::uint64_t adoptedTraceId(const TextRequest& r) { return r.trace_id; }
 std::uint64_t adoptedTraceId(const Request& r) { return r.trace_id; }
 std::uint64_t adoptedTraceId(const BatchRequest& r) { return r.trace_id; }
 
 std::uint32_t tenantOf(const FileRequest& r) { return r.tenant; }
 std::uint32_t tenantOf(const dag::Digraph&) { return 0; }
-std::uint32_t tenantOf(const TextRequest& r) { return r.tenant; }
 std::uint32_t tenantOf(const Request& r) { return r.tenant; }
 std::uint32_t tenantOf(const BatchRequest& r) { return r.tenant; }
 
 double deadlineOf(const FileRequest&) { return 0.0; }
 double deadlineOf(const dag::Digraph&) { return 0.0; }
-double deadlineOf(const TextRequest& r) { return r.deadline_s; }
 double deadlineOf(const Request& r) { return r.deadline_s; }
 double deadlineOf(const BatchRequest& r) { return r.deadline_s; }
 
-#pragma GCC diagnostic pop
-
 }  // namespace
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 template <typename RequestT>
 void PrioService::enqueueWith(RequestT request,
                               std::function<void(Reply)> complete) {
@@ -557,8 +380,7 @@ void PrioService::enqueueWith(RequestT request,
       obs::Span span(trace, "service.request");
       if constexpr (std::is_same_v<RequestT, FileRequest>) {
         serveFile(holder->request, reply, span.context());
-      } else if constexpr (std::is_same_v<RequestT, TextRequest> ||
-                           std::is_same_v<RequestT, Request> ||
+      } else if constexpr (std::is_same_v<RequestT, Request> ||
                            std::is_same_v<RequestT, BatchRequest>) {
         // Whatever budget survived the queue bounds the compute. The
         // floor keeps a budget that ran out between the expiry check
@@ -568,10 +390,9 @@ void PrioService::enqueueWith(RequestT request,
             budget_s > 0.0
                 ? std::max(budget_s - holder->watch.elapsedSeconds(), 1e-6)
                 : 0.0;
-        if constexpr (std::is_same_v<RequestT, TextRequest>) {
-          serveText(holder->request, reply, span.context(), remaining_s);
-        } else if constexpr (std::is_same_v<RequestT, Request>) {
-          servePayload(holder->request, reply, span.context(), remaining_s);
+        if constexpr (std::is_same_v<RequestT, Request>) {
+          servePayload(holder->request.payload, reply, span.context(),
+                       remaining_s);
         } else {
           serveBatch(holder->request, reply, span.context(), remaining_s);
         }
@@ -623,7 +444,6 @@ std::future<Reply> PrioService::enqueue(RequestT request) {
   });
   return future;
 }
-#pragma GCC diagnostic pop
 
 std::future<Reply> PrioService::submit(dag::Digraph g) {
   return enqueue(std::move(g));
@@ -650,18 +470,6 @@ void PrioService::submitCallback(BatchRequest request,
                                  std::function<void(Reply)> done) {
   enqueueWith(std::move(request), std::move(done));
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::future<Reply> PrioService::submit(TextRequest request) {
-  return enqueue(std::move(request));
-}
-
-void PrioService::submitCallback(TextRequest request,
-                                 std::function<void(Reply)> done) {
-  enqueueWith(std::move(request), std::move(done));
-}
-#pragma GCC diagnostic pop
 
 std::vector<std::future<Reply>> PrioService::submitBatch(
     std::vector<dag::Digraph> dags) {

@@ -1,9 +1,9 @@
 // priod — the long-running prioritization service.
 //
 // One PrioService owns a fixed pool of worker threads behind a bounded
-// work queue and a sharded, fingerprint-keyed LRU result cache. Requests
-// (in-memory Digraphs or DAGMan files) are accepted individually or in
-// batches; each returns a std::future<Reply>, so callers overlap
+// work queue and two caches (service/cache.h). Requests (in-memory
+// Digraphs, DAGMan files, or typed payloads) are accepted individually
+// or in batches; each returns a std::future<Reply>, so callers overlap
 // submission with completion and drain results in any order.
 //
 // Backpressure: the work queue holds at most queue_capacity pending
@@ -13,12 +13,15 @@
 // (kReject — bounded-latency load shedding for interactive front ends).
 // Either way memory stays bounded no matter how fast clients submit.
 //
-// Caching: a worker first transitively reduces the dag and computes its
-// structural fingerprint (dag/fingerprint.h). On a layout-verified cache
-// hit the memoized PrioResult is returned without running the heuristic;
-// on a miss the worker runs prioritize() with a PrioRequest that carries
-// the reduction it already paid for — and memoizes the result. Results are
-// held by shared_ptr, so eviction never invalidates an outstanding reply.
+// Caching: a payload whose exact (kind, bytes) completed kOk before is
+// answered from the payload cache's stored output. Otherwise a worker
+// decodes it, transitively reduces the dag and computes its structural
+// fingerprint (dag/fingerprint.h). On a layout-verified fingerprint hit
+// the memoized result is reused without running the heuristic; on a miss
+// the worker runs prioritize() with a PrioRequest that carries the
+// reduction it already paid for, and memoizes a compact copy of the
+// result. Results are held by shared_ptr, so eviction never invalidates
+// an outstanding reply.
 //
 // Failure: a request whose dag is cyclic (or whose DAGMan file is
 // malformed) completes with kFailed and the util::Error message; it never
@@ -39,11 +42,11 @@
 // kRejected, kExpired, or kFailed — never a hang.
 //
 // Payloads (since wire v3) are typed: service::Request carries a tagged
-// Payload — kDagmanText (the classic text path) or kBinaryCsr (the BDAG
-// binary layout in dag/csr.h, decoded without any text parsing) — and
-// the reply's output is rendered in the same kind. BatchRequest carries
-// many payloads as one service request with per-item replies. The
-// pre-v3 TextRequest API remains as a deprecated, byte-identical shim.
+// Payload (defined in service/cache.h, which keys on it) — kDagmanText
+// (the classic text path) or kBinaryCsr (the BDAG binary layout in
+// dag/csr.h, decoded without any text parsing) — and the reply's output
+// is rendered in the same kind. BatchRequest carries many payloads as
+// one service request with per-item replies.
 #pragma once
 
 #include <cstddef>
@@ -80,28 +83,11 @@ struct ServiceConfig {
   /// Pending-request bound; the backpressure knob.
   std::size_t queue_capacity = 256;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Result-cache size in entries (0 disables caching entirely).
+  /// Fingerprint result-cache size in entries. 0 turns off every cache:
+  /// this one and the payload cache (a fixed 32 MiB byte budget of
+  /// rendered replies in front of it; see PayloadCache).
   std::size_t cache_capacity = 1024;
   std::size_t cache_shards = 16;
-  /// Serialized-response memo for the payload path (the wire protocol),
-  /// in entries: a byte-identical Request payload that previously
-  /// completed kOk is answered from the stored rendered output, skipping
-  /// parse, fingerprint, instrument, and serialize — the per-request
-  /// floor that otherwise caps a hot serving loop. Keyed by the exact
-  /// (kind, bytes) pair; an entry holds both byte strings (~2x the
-  /// request size). 0 disables; cache_capacity == 0 (caching off)
-  /// disables it too.
-  std::size_t text_cache_capacity = 128;
-  /// Parse-result cache in FRONT of the fingerprint cache: payload
-  /// (kind, bytes) → parsed dag (DagmanFile + Digraph), sharded LRU.
-  /// Where the response memo above needs a byte-identical request AND a
-  /// prior kOk completion, this one only needs the same dag bytes — a
-  /// repeated payload skips the parser even when the deadline, tenant,
-  /// or requested output kind differ. Entries are shared_ptr snapshots,
-  /// so eviction never invalidates an in-flight request. 0 disables;
-  /// cache_capacity == 0 (caching off) disables it too.
-  std::size_t parse_cache_capacity = 256;
-  std::size_t parse_cache_shards = 8;
   /// Compute deadline per request in seconds (0 = unbounded). When the
   /// heuristic outlives it, the request degrades to the outdegree-only
   /// fallback and replies kDegraded.
@@ -140,34 +126,12 @@ enum class RequestStatus {
   kExpired,   ///< caller-supplied budget spent before compute started
 };
 
-/// How a Payload's bytes encode a dag. Mirrors net::PayloadKind (the v3
-/// wire payload_kind byte) without depending on the net layer.
-enum class PayloadKind : std::uint8_t {
-  kDagmanText = 0,  ///< DAGMan input-file text
-  kBinaryCsr = 1,   ///< BDAG binary layout (dag/csr.h)
-};
-
-/// One dag, as bytes plus the tag saying how to decode them. The typed
-/// replacement for the stringly dag_text parameter: the service decodes
-/// by tag (text parser or binary-CSR decoder) and renders the reply in
-/// the same kind (instrumented text / BPRI priority table).
-struct Payload {
-  PayloadKind kind = PayloadKind::kDagmanText;
-  std::string bytes;
-
-  [[nodiscard]] static Payload text(std::string dag_text) {
-    return {PayloadKind::kDagmanText, std::move(dag_text)};
-  }
-  [[nodiscard]] static Payload binary(std::string bdag_bytes) {
-    return {PayloadKind::kBinaryCsr, std::move(bdag_bytes)};
-  }
-};
-
 struct Reply {
   RequestStatus status = RequestStatus::kOk;
-  /// The heuristic result (null unless kOk or kDegraded; kDegraded
-  /// carries the fallback schedule/priorities only). Shared with the
-  /// cache when kOk.
+  /// The heuristic result, null unless kOk or kDegraded. Only schedule,
+  /// priority, certified_ic_optimal, shortcuts_removed and timings are
+  /// filled: the decomposition, component schedules and combine state are
+  /// freed when the request ends. Shared with the caches when kOk.
   std::shared_ptr<const core::PrioResult> result;
   bool cache_hit = false;
   std::uint64_t fingerprint = 0;  ///< structural fingerprint (0 on failure)
@@ -248,16 +212,6 @@ struct BatchRequest {
   double deadline_s = 0.0;
 };
 
-/// Pre-v3 text request, kept as a shim over Request/Payload::text().
-/// Byte-identical behavior is asserted in tests/test_binary_wire.cpp.
-struct [[deprecated(
-    "use service::Request with Payload::text()")]] TextRequest {
-  std::string dag_text;
-  std::uint64_t trace_id = 0;
-  std::uint32_t tenant = 0;
-  double deadline_s = 0.0;
-};
-
 class PrioService {
  public:
   explicit PrioService(const ServiceConfig& config = {});
@@ -291,16 +245,6 @@ class PrioService {
 
   /// Callback flavor of submit(BatchRequest).
   void submitCallback(BatchRequest request, std::function<void(Reply)> done);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// Pre-v3 shims: forward to the typed Request API, byte-identically.
-  [[deprecated("use submit(service::Request)")]] std::future<Reply> submit(
-      TextRequest request);
-  [[deprecated(
-      "use submitCallback(service::Request, done)")]] void
-  submitCallback(TextRequest request, std::function<void(Reply)> done);
-#pragma GCC diagnostic pop
 
   /// Batch submission, in order. Under kBlock the call blocks until the
   /// whole batch is enqueued; replies complete as workers finish.
@@ -341,8 +285,6 @@ class PrioService {
   void writePrometheusText(std::ostream& out);
 
  private:
-  struct PendingReply;
-
   static std::size_t resolveThreads(std::size_t requested) {
     if (requested > 0) return requested;
     const unsigned hw = std::thread::hardware_concurrency();
@@ -369,21 +311,14 @@ class PrioService {
   /// Full file pipeline (parse, serve, instrument, write).
   void serveFile(const FileRequest& request, Reply& reply,
                  const obs::TraceContext& trace);
-  /// Full payload pipeline: response-memo probe, parse-cache probe,
-  /// decode by kind, serve, render the output in the payload's kind.
-  void servePayload(const Request& request, Reply& reply,
+  /// Full payload pipeline: payload-cache probe, decode by kind, serve,
+  /// render the output in the payload's kind.
+  void servePayload(const Payload& payload, Reply& reply,
                     const obs::TraceContext& trace, double budget_s = 0.0);
   /// Serves every item of a batch serially on this worker, collecting
   /// per-item replies into reply.items.
   void serveBatch(const BatchRequest& request, Reply& reply,
                   const obs::TraceContext& trace, double budget_s = 0.0);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// Pre-v3 shim over servePayload(); asserted byte-identical in tests.
-  [[deprecated("use servePayload()")]] void serveText(
-      const TextRequest& request, Reply& reply,
-      const obs::TraceContext& trace, double budget_s = 0.0);
-#pragma GCC diagnostic pop
 
   /// Shared submission path: runs `request` on the pool and delivers the
   /// Reply through `complete` (worker thread, or the calling thread on
@@ -394,16 +329,11 @@ class PrioService {
   template <typename RequestT>
   std::future<Reply> enqueue(RequestT request);
 
-  struct TextCache;
-  struct ParseCache;
-
   ServiceConfig config_;
   ServiceMetrics metrics_;
   std::unique_ptr<ResultCache> cache_;  ///< null when caching disabled
-  /// Serialized-response memo for payload requests; null when disabled.
-  std::unique_ptr<TextCache> text_cache_;
-  /// Payload-bytes → parsed-dag cache; null when disabled.
-  std::unique_ptr<ParseCache> parse_cache_;
+  /// Rendered replies by exact payload; null when caching disabled.
+  std::unique_ptr<PayloadCache> payload_cache_;
   /// Weighted-fair work queue; null without a tenant registry (the pool
   /// then owns a plain FIFO). Shared with pool_, which must outlive the
   /// workers popping from it.

@@ -3,9 +3,8 @@
 // hostile payloads (truncation, bit flips, overflow, cycle smuggling —
 // the server must answer kFailed, never crash a reactor), the batch
 // envelope codecs and their end-to-end semantics (one bad item degrades
-// itself, not the batch), the parse cache, the max_batch_payload cap,
-// v1/v2/v3 interleaving on one raw socket, and byte-identity of the
-// deprecated TextRequest/serveText/usableOutput shims.
+// itself, not the batch), payload-cache hits on binary payloads, the
+// max_batch_payload cap, and v1/v2/v3 interleaving on one raw socket.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -497,12 +496,10 @@ TEST(BinaryService, PaperWorkloadsMatchTextPathByteForByte) {
   }
 }
 
-TEST(BinaryService, ParseCacheHitsCountAndSkipDecode) {
+TEST(BinaryService, RepeatedPayloadIsAnsweredByThePayloadCache) {
   service::ServiceConfig config;
   config.num_threads = 1;
   config.cache_capacity = 64;
-  config.text_cache_capacity = 0;  // expose the parse cache, not the memo
-  config.parse_cache_capacity = 16;
   service::PrioService service(config);
 
   stats::Rng rng(3);
@@ -511,13 +508,17 @@ TEST(BinaryService, ParseCacheHitsCountAndSkipDecode) {
       dag::encodeBinaryDag(workloads::randomDag(40, 0.1, rng)));
   const service::Reply first = service.submit(req).get();
   ASSERT_EQ(first.status, service::RequestStatus::kOk);
-  EXPECT_EQ(service.metrics().parse_cache_hits.get(), 0u);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(service.metrics().text_cache_hits.get(), 0u);
   EXPECT_EQ(service.metrics().binary_requests.get(), 1u);
 
   const service::Reply second = service.submit(req).get();
   ASSERT_EQ(second.status, service::RequestStatus::kOk);
-  EXPECT_EQ(service.metrics().parse_cache_hits.get(), 1u);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(service.metrics().text_cache_hits.get(), 1u);
+  EXPECT_EQ(service.metrics().parse_cache_hits.get(), 0u);
   EXPECT_EQ(second.output, first.output);
+  EXPECT_EQ(second.output_kind, service::PayloadKind::kBinaryCsr);
 }
 
 // -------------------------------------------------------- end to end
@@ -728,44 +729,5 @@ TEST(BinaryWire, MixedVersionClientsInterleaveOnOneSocket) {
   EXPECT_EQ(replies[0].payload, replies[1].payload);
   EXPECT_EQ(replies[0].payload, items[0].payload);
 }
-
-// -------------------------------------------------- deprecated shims
-
-// The pre-v3 stringly API must behave byte-identically to the typed
-// API it now wraps.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedShims, TextRequestMatchesTypedRequest) {
-  service::ServiceConfig config;
-  config.num_threads = 1;
-  config.cache_capacity = 0;  // force both paths to compute
-  service::PrioService service(config);
-
-  const service::Reply typed =
-      service.submit(service::Request{service::Payload::text(kFig3)}).get();
-  const service::Reply shim =
-      service.submit(service::TextRequest{kFig3}).get();
-  ASSERT_EQ(typed.status, service::RequestStatus::kOk);
-  ASSERT_EQ(shim.status, service::RequestStatus::kOk);
-  EXPECT_EQ(shim.output, typed.output);
-  EXPECT_EQ(shim.output_kind, service::PayloadKind::kDagmanText);
-  EXPECT_EQ(shim.fingerprint, typed.fingerprint);
-}
-
-TEST(DeprecatedShims, UsableOutputAgreesWithResultUsable) {
-  net::Response r;
-  for (Status s : {Status::kOk, Status::kDegraded, Status::kRejected,
-                   Status::kShed, Status::kFailed, Status::kProtocolError,
-                   Status::kExpired}) {
-    r.status = s;
-    for (const char* payload : {"", "Job a a.submit\n"}) {
-      r.payload = payload;
-      EXPECT_EQ(r.usableOutput(), r.result().usable)
-          << "status " << static_cast<int>(s) << " payload "
-          << (*payload != '\0' ? "set" : "empty");
-    }
-  }
-}
-#pragma GCC diagnostic pop
 
 }  // namespace

@@ -2,7 +2,7 @@
 // it rides on: registry snapshot consistency under concurrent writers,
 // Prometheus/JSON export shape, span nesting across parallel schedule
 // workers, trace-id propagation into degraded requests, the null-context
-// fast path, and bit-identical equivalence of the deprecated shims.
+// fast path, and the deadline option of the request API.
 // Runs under TSan in CI alongside test_service/test_parallel_parity.
 #include <algorithm>
 #include <atomic>
@@ -394,63 +394,7 @@ TEST(Trace, RingOverflowCountsDropped) {
   EXPECT_EQ(drained.dropped, 12u);
 }
 
-// -------------------------------------------------- deprecated-shim parity
-
-// The pre-PrioRequest overloads must stay bit-identical to the request
-// API until removal (see PRIO_API_VERSION).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ApiShims, PrioritizeOverloadMatchesRequestForm) {
-  prio::stats::Rng rng(123);
-  for (int i = 0; i < 10; ++i) {
-    const Digraph g = prio::workloads::randomDag(50, 0.08, rng);
-    const core::PrioResult via_request =
-        core::prioritize(core::PrioRequest(g));
-    const core::PrioResult via_shim = core::prioritize(g);
-    EXPECT_EQ(via_request.schedule, via_shim.schedule);
-    EXPECT_EQ(via_request.priority, via_shim.priority);
-    EXPECT_EQ(via_request.certified_ic_optimal, via_shim.certified_ic_optimal);
-    EXPECT_EQ(via_request.shortcuts_removed, via_shim.shortcuts_removed);
-  }
-}
-
-TEST(ApiShims, WithReductionOverloadMatchesRequestForm) {
-  prio::stats::Rng rng(321);
-  const Digraph g = prio::workloads::randomDag(60, 0.1, rng);
-  const Digraph reduced = prio::dag::transitiveReduction(g);
-
-  core::PrioRequest request(g);
-  request.reduced = &reduced;
-  const core::PrioResult via_request = core::prioritize(request);
-  const core::PrioResult via_shim = core::prioritizeWithReduction(g, reduced);
-  EXPECT_EQ(via_request.schedule, via_shim.schedule);
-  EXPECT_EQ(via_request.priority, via_shim.priority);
-}
-
-TEST(ApiShims, ScheduleComponentsOverloadMatchesRequestForm) {
-  prio::stats::Rng rng(777);
-  const Digraph g = prio::workloads::layeredRandom(5, 50, 0.1, rng);
-  const Digraph reduced = prio::dag::transitiveReduction(g);
-  core::DecomposeOptions dopt;
-  dopt.defer_component_graphs = true;
-  core::Decomposition a = core::decompose(reduced, dopt);
-  core::Decomposition b = core::decompose(reduced, dopt);
-
-  core::ScheduleRequest sreq;
-  sreq.reduced = &reduced;
-  sreq.decomposition = &a;
-  const auto via_request = core::scheduleComponents(sreq);
-  const auto via_shim = core::scheduleComponents(reduced, b, {});
-  ASSERT_EQ(via_request.size(), via_shim.size());
-  for (std::size_t i = 0; i < via_request.size(); ++i) {
-    EXPECT_EQ(via_request[i].recognition.schedule,
-              via_shim[i].recognition.schedule);
-    EXPECT_EQ(via_request[i].profile, via_shim[i].profile);
-  }
-}
-
-#pragma GCC diagnostic pop
+// ------------------------------------------------------ request options
 
 // Deadline semantics of the unified options: deadline_s arms an internal
 // token with the same observable behavior as an explicit CancelToken.

@@ -1,5 +1,5 @@
 // Tests for the priod service stack: util concurrency primitives, the
-// structural dag fingerprint, the sharded result cache, and PrioService
+// structural dag fingerprint, the result and payload caches, and PrioService
 // itself (parity with serial runs, caching, backpressure, failure
 // isolation, DAGMan file requests, and a TSan-runnable stress test).
 #include <atomic>
@@ -31,6 +31,8 @@ using prio::dag::Digraph;
 using prio::dag::NodeId;
 using prio::service::BackpressurePolicy;
 using prio::service::FileRequest;
+using prio::service::Payload;
+using prio::service::PayloadCache;
 using prio::service::PrioService;
 using prio::service::Reply;
 using prio::service::RequestStatus;
@@ -267,6 +269,111 @@ TEST(ResultCache, AliasDetectedForSameFingerprintOtherLayout) {
   cache.insert(42, 2, std::make_shared<const prio::core::PrioResult>());
   EXPECT_NE(cache.find(42, 1).result, nullptr);
   EXPECT_NE(cache.find(42, 2).result, nullptr);
+}
+
+// --------------------------------------------------------- PayloadCache
+
+Payload textOf(std::size_t n, char fill) {
+  return Payload::text(std::string(n, fill));
+}
+
+// An entry's cost is its payload plus output bytes.
+PayloadCache::Rendered renderedOf(std::size_t output_bytes) {
+  PayloadCache::Rendered r;
+  r.output.assign(output_bytes, 'o');
+  return r;
+}
+
+bool cached(PayloadCache& cache, const Payload& p) {
+  PayloadCache::Rendered out;
+  return cache.find(PayloadCache::keyOf(p), p, out);
+}
+
+void put(PayloadCache& cache, const Payload& p, std::size_t output_bytes) {
+  cache.insert(PayloadCache::keyOf(p), p, renderedOf(output_bytes));
+}
+
+TEST(PayloadCache, EvictsLeastRecentlyUsedByBytes) {
+  // Each entry holds 20 payload + 20 output bytes; two fit in 100.
+  PayloadCache cache(/*budget_bytes=*/100);
+  const Payload a = textOf(20, 'a'), b = textOf(20, 'b'), c = textOf(20, 'c');
+  put(cache, a, 20);
+  put(cache, b, 20);
+  EXPECT_EQ(cache.bytes(), 80u);
+  EXPECT_TRUE(cached(cache, a));  // refreshes a
+  put(cache, c, 20);              // 120 > 100: evicts b, the coldest
+  EXPECT_TRUE(cached(cache, a));
+  EXPECT_FALSE(cached(cache, b));
+  EXPECT_TRUE(cached(cache, c));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 80u);
+
+  // One entry of 90 bytes displaces both.
+  const Payload big = textOf(50, 'd');
+  put(cache, big, 40);
+  EXPECT_TRUE(cached(cache, big));
+  EXPECT_FALSE(cached(cache, a));
+  EXPECT_FALSE(cached(cache, c));
+  EXPECT_EQ(cache.bytes(), 90u);
+}
+
+TEST(PayloadCache, OverBudgetEntryIsNotStoredAndEvictsNothing) {
+  PayloadCache cache(/*budget_bytes=*/100);
+  const Payload a = textOf(20, 'a');
+  put(cache, a, 20);
+  const Payload huge = textOf(60, 'h');
+  put(cache, huge, 41);  // 101 bytes
+  EXPECT_FALSE(cached(cache, huge));
+  EXPECT_TRUE(cached(cache, a));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), 40u);
+  put(cache, huge, 40);  // exactly the budget fits, displacing a
+  EXPECT_TRUE(cached(cache, huge));
+  EXPECT_FALSE(cached(cache, a));
+}
+
+TEST(PayloadCache, ReinsertRefreshesWithoutDoubleCounting) {
+  PayloadCache cache(/*budget_bytes=*/100);
+  const Payload a = textOf(20, 'a'), b = textOf(20, 'b'), c = textOf(20, 'c');
+  put(cache, a, 20);
+  put(cache, b, 20);
+  put(cache, a, 20);  // refreshes a; still 80 bytes in two entries
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 80u);
+  put(cache, c, 20);  // evicts b, not the refreshed a
+  EXPECT_TRUE(cached(cache, a));
+  EXPECT_FALSE(cached(cache, b));
+  put(cache, a, 30);  // a new output size replaces the old one's bytes
+  EXPECT_EQ(cache.bytes(), 90u);
+}
+
+TEST(PayloadCache, SameBytesUnderTheOtherKindMiss) {
+  PayloadCache cache(/*budget_bytes=*/1000);
+  const Payload text = Payload::text("Job a a.sub\n");
+  const Payload binary = Payload::binary(text.bytes);
+  put(cache, text, 10);
+  EXPECT_NE(PayloadCache::keyOf(text), PayloadCache::keyOf(binary));
+  EXPECT_FALSE(cached(cache, binary));
+  // Even routed to the text entry's key, the kind decides.
+  PayloadCache::Rendered out;
+  EXPECT_FALSE(cache.find(PayloadCache::keyOf(text), binary, out));
+  EXPECT_TRUE(cached(cache, text));
+}
+
+TEST(PayloadCache, ForcedKeyCollisionWithDifferentBytesMisses) {
+  PayloadCache cache(/*budget_bytes=*/1000);
+  constexpr std::uint64_t kKey = 7;
+  const Payload a = textOf(10, 'a'), b = textOf(10, 'b');
+  cache.insert(kKey, a, renderedOf(10));
+  PayloadCache::Rendered out;
+  EXPECT_FALSE(cache.find(kKey, b, out));
+  EXPECT_TRUE(cache.find(kKey, a, out));
+  // A colliding insert replaces the entry and its byte count.
+  cache.insert(kKey, b, renderedOf(5));
+  EXPECT_FALSE(cache.find(kKey, a, out));
+  EXPECT_TRUE(cache.find(kKey, b, out));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), 15u);
 }
 
 // ------------------------------------------------------------- PrioService
