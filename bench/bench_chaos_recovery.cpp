@@ -38,7 +38,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,20 +88,15 @@ std::string airsnDagText() {
       file.addDependency(g.name(u), g.name(v));
     }
   }
-  std::ostringstream out;
-  file.write(out);
-  return std::move(out).str();
+  return file.render();
 }
 
 /// The offline tool's output for the same text: the byte-parity oracle
 /// (prio_tool runs exactly this parse -> prioritize -> write pipeline).
 std::string offlineInstrument(const std::string& dag_text) {
-  std::istringstream in(dag_text);
-  auto file = prio::dagman::DagmanFile::parse(in);
+  auto file = prio::dagman::DagmanFile::parse(dag_text);
   (void)prio::dagman::prioritizeDagmanFile(file);
-  std::ostringstream out;
-  file.write(out);
-  return std::move(out).str();
+  return file.render();
 }
 
 /// fork/exec priod_server with stdout+stderr appended to `log_path`.

@@ -123,7 +123,7 @@ int main() {
 
   for (auto& w : buildWorkloads(smoke)) {
     const Digraph& reduced = w.reduced();
-    std::printf("%s: %u nodes, %zu arcs (%zu after reduction)\n",
+    std::printf("%s: %zu nodes, %zu arcs (%zu after reduction)\n",
                 w.name.c_str(), w.graph.numNodes(), w.graph.numEdges(),
                 reduced.numEdges());
 

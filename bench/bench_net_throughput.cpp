@@ -55,7 +55,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,9 +91,7 @@ std::string airsnDagText() {
       file.addDependency(g.name(u), g.name(v));
     }
   }
-  std::ostringstream out;
-  file.write(out);
-  return std::move(out).str();
+  return file.render();
 }
 
 struct LoadResult {

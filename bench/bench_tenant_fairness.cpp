@@ -40,7 +40,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,9 +80,7 @@ std::string airsnDagText() {
       file.addDependency(g.name(u), g.name(v));
     }
   }
-  std::ostringstream out;
-  file.write(out);
-  return std::move(out).str();
+  return file.render();
 }
 
 struct TenantLoad {

@@ -208,8 +208,7 @@ int main(int argc, char** argv) {
         prepared[i].wire = text;
         continue;
       }
-      std::istringstream in(text);
-      prepared[i].file = prio::dagman::DagmanFile::parse(in);
+      prepared[i].file = prio::dagman::DagmanFile::parse(text);
       prepared[i].has_done = prepared[i].file.hasDoneJobs();
       const prio::dag::Digraph graph =
           prepared[i].has_done
@@ -272,9 +271,7 @@ int main(int argc, char** argv) {
           } else {
             prio::dagman::instrumentDagmanFile(p.file, priorities);
           }
-          std::ostringstream out;
-          p.file.write(out);
-          output = std::move(out).str();
+          output = p.file.render();
         } catch (const std::exception& e) {
           ++failed;
           std::fprintf(stderr, "priod_client: %s: bad binary response: %s\n",

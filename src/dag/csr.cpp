@@ -193,24 +193,6 @@ Digraph decodeBinaryDag(std::string_view bytes) {
     }
   }
 
-  // Kahn's algorithm on the raw adjacency — same acyclicity contract as
-  // topologicalOrder(), without a Digraph in hand yet.
-  std::vector<NodeId> frontier;
-  frontier.reserve(static_cast<std::size_t>(n));
-  std::vector<std::uint32_t> deg = indeg;
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if (deg[v] == 0) frontier.push_back(static_cast<NodeId>(v));
-  }
-  std::size_t seen = 0;
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    ++seen;
-    for (const NodeId v : children[u]) {
-      if (--deg[v] == 0) frontier.push_back(v);
-    }
-  }
-  if (seen != n) bad("graph has a cycle");
-
   // Transpose with exact per-node capacity (indeg was counted above).
   std::vector<std::vector<NodeId>> parents(static_cast<std::size_t>(n));
   for (std::uint64_t v = 0; v < n; ++v) parents[v].reserve(indeg[v]);
@@ -219,10 +201,29 @@ Digraph decodeBinaryDag(std::string_view bytes) {
       parents[v].push_back(static_cast<NodeId>(u));
     }
   }
+  if (!isAcyclicAdjacency(children, parents)) bad("graph has a cycle");
 
   return Digraph::fromAdjacency(std::move(names), std::move(children),
                                 std::move(parents),
                                 static_cast<std::size_t>(m));
+}
+
+bool isAcyclicAdjacency(std::span<const std::vector<NodeId>> children,
+                        std::span<const std::vector<NodeId>> parents) {
+  const std::size_t n = children.size();
+  std::vector<std::uint32_t> deg(n);
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    deg[v] = static_cast<std::uint32_t>(parents[v].size());
+    if (deg[v] == 0) frontier.push_back(static_cast<NodeId>(v));
+  }
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    for (const NodeId v : children[frontier[head]]) {
+      if (--deg[v] == 0) frontier.push_back(v);
+    }
+  }
+  return frontier.size() == n;
 }
 
 std::string encodeBinaryPriorities(std::span<const std::size_t> priorities) {

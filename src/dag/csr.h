@@ -115,6 +115,14 @@ inline constexpr std::uint16_t kBinaryPrioVersion = 1;
 /// duplicate or empty names, cycles).
 [[nodiscard]] Digraph decodeBinaryDag(std::string_view bytes);
 
+/// Kahn's algorithm on adjacency in the form Digraph::fromAdjacency()
+/// adopts (`parents` the exact transpose of `children`): true when the
+/// arcs form no directed cycle. Bulk loaders use it to reject a cycle
+/// before a Digraph exists; O(V + E).
+[[nodiscard]] bool isAcyclicAdjacency(
+    std::span<const std::vector<NodeId>> children,
+    std::span<const std::vector<NodeId>> parents);
+
 /// Serializes a priority table (numNodes() entries, values fit u32)
 /// into the BPRI layout.
 [[nodiscard]] std::string encodeBinaryPriorities(

@@ -1,13 +1,12 @@
 #include "dagman/dagman_file.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
-#include "dag/algorithms.h"
+#include "dag/csr.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 
@@ -15,59 +14,64 @@ namespace prio::dagman {
 
 namespace {
 
-std::string toUpper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
+constexpr std::uint32_t kUnbound = 0xffffffffu;
+
+/// isspace() in the C locale: ' ', \t, \n, \v, \f and \r.
+constexpr bool isBlank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view trimmed(std::string_view s) {
+  while (!s.empty() && isBlank(s.front())) s.remove_prefix(1);
+  while (!s.empty() && isBlank(s.back())) s.remove_suffix(1);
   return s;
 }
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+/// Pops the next blank-separated token off `rest`; empty when none is
+/// left.
+std::string_view nextToken(std::string_view& rest) {
+  std::size_t b = 0;
+  while (b < rest.size() && isBlank(rest[b])) ++b;
+  std::size_t e = b;
+  while (e < rest.size() && !isBlank(rest[e])) ++e;
+  const std::string_view token = rest.substr(b, e - b);
+  rest.remove_prefix(e);
+  return token;
 }
 
-std::vector<std::string> splitWs(const std::string& s) {
-  std::istringstream is(s);
-  std::vector<std::string> out;
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
+/// ASCII case-insensitive match against an upper-case, letters-only
+/// keyword. Clearing bit 5 maps exactly 'a'-'z' onto 'A'-'Z' among the
+/// bytes that can equal a letter.
+bool isKeyword(std::string_view token, std::string_view upper) {
+  if (token.size() != upper.size()) return false;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    if ((token[i] & ~0x20) != upper[i]) return false;
+  }
+  return true;
 }
 
 // Parses the `key="value"` assignments of a VARS line (value may contain
-// spaces; quotes are required, matching DAGMan syntax).
+// spaces; quotes are required, matching DAGMan syntax; a backslash takes
+// the next byte literally).
 std::vector<std::pair<std::string, std::string>> parseVarAssignments(
-    const std::string& rest, std::size_t line_no) {
+    std::string_view rest, std::size_t line_no) {
   std::vector<std::pair<std::string, std::string>> out;
   std::size_t i = 0;
   const auto fail = [&](const char* why) {
     PRIO_CHECK_MSG(false, "VARS line " << line_no << ": " << why);
   };
+  const auto skipBlanks = [&] {
+    while (i < rest.size() && isBlank(rest[i])) ++i;
+  };
   while (i < rest.size()) {
-    while (i < rest.size() &&
-           std::isspace(static_cast<unsigned char>(rest[i]))) {
-      ++i;
-    }
+    skipBlanks();
     if (i >= rest.size()) break;
     const std::size_t key_start = i;
-    while (i < rest.size() && rest[i] != '=' &&
-           !std::isspace(static_cast<unsigned char>(rest[i]))) {
-      ++i;
-    }
-    const std::string key = rest.substr(key_start, i - key_start);
+    while (i < rest.size() && rest[i] != '=' && !isBlank(rest[i])) ++i;
+    const std::string_view key = rest.substr(key_start, i - key_start);
     if (key.empty()) fail("empty macro name");
-    while (i < rest.size() &&
-           std::isspace(static_cast<unsigned char>(rest[i]))) {
-      ++i;
-    }
+    skipBlanks();
     if (i >= rest.size() || rest[i] != '=') fail("expected '='");
     ++i;
-    while (i < rest.size() &&
-           std::isspace(static_cast<unsigned char>(rest[i]))) {
-      ++i;
-    }
+    skipBlanks();
     if (i >= rest.size() || rest[i] != '"') fail("expected opening quote");
     ++i;
     std::string value;
@@ -78,9 +82,130 @@ std::vector<std::pair<std::string, std::string>> parseVarAssignments(
     }
     if (i >= rest.size()) fail("unterminated quoted value");
     ++i;  // closing quote
-    out.emplace_back(key, value);
+    out.emplace_back(key, std::move(value));
   }
   return out;
+}
+
+/// The parse's one name table. Each distinct name (a view into the
+/// text) gets a symbol on first mention; the JOB line naming it binds
+/// the symbol to that job's index.
+struct Symbols {
+  std::unordered_map<std::string_view, std::uint32_t> id;
+  std::vector<std::string_view> name;
+  std::vector<std::uint32_t> job;  ///< kUnbound until its JOB line
+
+  std::uint32_t intern(std::string_view s) {
+    const auto [it, fresh] =
+        id.try_emplace(s, static_cast<std::uint32_t>(name.size()));
+    if (fresh) {
+      name.push_back(s);
+      job.push_back(kUnbound);
+    }
+    return it->second;
+  }
+};
+
+/// One PARENT/CHILD line: parents are arc_syms[begin, split), children
+/// arc_syms[split, end).
+struct ArcLine {
+  std::size_t line_no;
+  std::size_t begin;
+  std::size_t split;
+  std::size_t end;
+};
+
+struct PendingVar {
+  std::uint32_t sym;
+  std::size_t line_no;
+  std::string key;
+  std::string value;
+};
+
+/// The Digraph over `names` with `arcs` (node ids) added in order, as
+/// an addNode/addEdge loop would build it: the first self-loop throws,
+/// a repeated arc keeps its first position, and children[u] and
+/// parents[v] list arcs in declaration order. Built straight into the
+/// arrays Digraph::fromAdjacency() adopts.
+dag::Digraph buildDigraph(std::vector<std::string> names,
+                          const std::vector<Dependency>& arcs) {
+  const std::size_t n = names.size();
+  std::vector<std::uint32_t> out_deg(n, 0);
+  std::vector<std::uint32_t> in_deg(n, 0);
+  for (const Dependency& a : arcs) {
+    PRIO_CHECK_MSG(a.parent != a.child,
+                   "self-loop on node " << names[a.parent]);
+    ++out_deg[a.parent];
+    ++in_deg[a.child];
+  }
+  std::vector<std::vector<dag::NodeId>> children(n);
+  std::vector<std::vector<dag::NodeId>> parents(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    children[u].reserve(out_deg[u]);
+    parents[u].reserve(in_deg[u]);
+  }
+  for (const Dependency& a : arcs) {
+    children[a.parent].push_back(a.child);
+    parents[a.child].push_back(a.parent);
+  }
+  // A list that holds an arc twice holds its first occurrence first, so
+  // keeping the first copy of each id keeps declaration order.
+  std::vector<std::size_t> seen(n, 0);
+  std::size_t stamp = 0;
+  std::size_t num_edges = 0;
+  const auto dropRepeats = [&](std::vector<dag::NodeId>& list) {
+    if (list.size() < 2) return;
+    ++stamp;
+    std::size_t kept = 0;
+    for (const dag::NodeId v : list) {
+      if (seen[v] != stamp) {
+        seen[v] = stamp;
+        list[kept++] = v;
+      }
+    }
+    list.resize(kept);
+  };
+  for (auto& list : children) {
+    dropRepeats(list);
+    num_edges += list.size();
+  }
+  for (auto& list : parents) dropRepeats(list);
+  PRIO_CHECK_MSG(dag::isAcyclicAdjacency(children, parents),
+                 "DAGMan dependencies contain a directed cycle");
+  return dag::Digraph::fromAdjacency(std::move(names), std::move(children),
+                                     std::move(parents), num_edges);
+}
+
+/// Appends a VARS value with '"' and '\' backslash-escaped, which the
+/// parser's unescaping reads back unchanged.
+void appendEscaped(std::string& out, std::string_view value) {
+  for (std::size_t at; (at = value.find_first_of("\"\\")) !=
+                       std::string_view::npos;) {
+    out.append(value.substr(0, at));
+    out.push_back('\\');
+    out.push_back(value[at]);
+    value.remove_prefix(at + 1);
+  }
+  out.append(value);
+}
+
+/// Reads what is left of `in` through its buffer: one read when the
+/// buffer knows how much is there (a string stream, a regular file),
+/// growing chunks otherwise.
+std::string readAll(std::istream& in) {
+  std::string text;
+  std::streamsize chunk = 1 << 16;
+  if (in.rdbuf() != nullptr) {
+    chunk = std::max(chunk, in.rdbuf()->in_avail() + 1);
+  }
+  while (in) {
+    const std::size_t got = text.size();
+    text.resize(got + static_cast<std::size_t>(chunk));
+    in.read(text.data() + got, chunk);
+    text.resize(got + static_cast<std::size_t>(in.gcount()));
+    chunk = static_cast<std::streamsize>(text.size()) + 1;
+  }
+  return text;
 }
 
 }  // namespace
@@ -92,89 +217,117 @@ std::optional<std::string> DagmanJob::var(const std::string& key) const {
   return std::nullopt;
 }
 
-void DagmanJob::setVar(const std::string& key, const std::string& value) {
+void DagmanJob::setVar(std::string_view key, std::string value) {
   for (auto& kv : vars) {
     if (kv.first == key) {
-      kv.second = value;
+      kv.second = std::move(value);
       return;
     }
   }
-  vars.emplace_back(key, value);
+  vars.emplace_back(key, std::move(value));
 }
 
-DagmanFile DagmanFile::parse(std::istream& in) {
+DagmanFile DagmanFile::parse(std::string_view text) {
   DagmanFile out;
-  std::string line;
+  Symbols symbols;
+  // PARENT/CHILD and VARS lines may name jobs declared later, so they
+  // resolve after the scan.
+  std::vector<std::uint32_t> arc_syms;
+  std::vector<ArcLine> arc_lines;
+  std::vector<PendingVar> vars;
+
+  const char* p = text.data();
+  const char* const end = p + text.size();
   std::size_t line_no = 0;
-  // PARENT/CHILD lines may reference jobs declared later, so collect them
-  // first and resolve at the end.
-  std::vector<std::tuple<std::string, std::string, std::size_t>> deps;
-  std::vector<std::tuple<std::string, std::string, std::string, std::size_t>>
-      vars;  // job, key, value
-
-  while (std::getline(in, line)) {
+  while (p != end) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* const stop = nl != nullptr ? nl : end;
     ++line_no;
-    const std::string stripped = trim(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
+    const std::string_view line =
+        trimmed({p, static_cast<std::size_t>(stop - p)});
+    p = nl != nullptr ? nl + 1 : end;
+    if (line.empty() || line.front() == '#') continue;
 
-    std::istringstream is(stripped);
-    std::string keyword;
-    is >> keyword;
-    const std::string upper = toUpper(keyword);
-
-    if (upper == "JOB") {
-      std::string name, file, flag;
-      is >> name >> file;
-      PRIO_CHECK_MSG(!name.empty() && !file.empty(),
-                     "malformed JOB line " << line_no);
-      DagmanJob& job = out.addJob(name, file);
-      while (is >> flag) {
-        if (toUpper(flag) == "DONE") job.done = true;
+    std::string_view rest = line;
+    const std::string_view keyword = nextToken(rest);
+    if (isKeyword(keyword, "JOB")) {
+      const std::string_view name = nextToken(rest);
+      const std::string_view submit = nextToken(rest);
+      PRIO_CHECK_MSG(!submit.empty(), "malformed JOB line " << line_no);
+      const std::uint32_t sym = symbols.intern(name);
+      PRIO_CHECK_MSG(symbols.job[sym] == kUnbound, "duplicate JOB " << name);
+      PRIO_CHECK_MSG(out.jobs_.size() < kUnbound, "too many jobs");
+      symbols.job[sym] = static_cast<std::uint32_t>(out.jobs_.size());
+      DagmanJob& job = out.jobs_.emplace_back();
+      job.name = name;
+      job.submit_file = submit;
+      for (std::string_view flag = nextToken(rest); !flag.empty();
+           flag = nextToken(rest)) {
+        if (isKeyword(flag, "DONE")) job.done = true;
       }
-    } else if (upper == "PARENT") {
-      std::string rest;
-      std::getline(is, rest);
-      const auto tokens = splitWs(rest);
-      const auto child_it =
-          std::find_if(tokens.begin(), tokens.end(), [&](const auto& t) {
-            return toUpper(t) == "CHILD";
-          });
-      PRIO_CHECK_MSG(child_it != tokens.end() && child_it != tokens.begin() &&
-                         child_it + 1 != tokens.end(),
-                     "malformed PARENT/CHILD line " << line_no);
-      for (auto p = tokens.begin(); p != child_it; ++p) {
-        for (auto c = child_it + 1; c != tokens.end(); ++c) {
-          deps.emplace_back(*p, *c, line_no);
+    } else if (isKeyword(keyword, "PARENT")) {
+      ArcLine arcs{line_no, arc_syms.size(), 0, 0};
+      bool split = false;
+      for (std::string_view tok = nextToken(rest); !tok.empty();
+           tok = nextToken(rest)) {
+        if (!split && isKeyword(tok, "CHILD")) {
+          split = true;
+          arcs.split = arc_syms.size();
+        } else {
+          arc_syms.push_back(symbols.intern(tok));
         }
       }
-    } else if (upper == "VARS") {
-      std::string job;
-      is >> job;
+      arcs.end = arc_syms.size();
+      PRIO_CHECK_MSG(
+          split && arcs.begin != arcs.split && arcs.split != arcs.end,
+          "malformed PARENT/CHILD line " << line_no);
+      arc_lines.push_back(arcs);
+    } else if (isKeyword(keyword, "VARS")) {
+      const std::string_view job = nextToken(rest);
       PRIO_CHECK_MSG(!job.empty(), "malformed VARS line " << line_no);
-      std::string rest;
-      std::getline(is, rest);
+      const std::uint32_t sym = symbols.intern(job);
       for (auto& [k, v] : parseVarAssignments(rest, line_no)) {
-        vars.emplace_back(job, k, v, line_no);
+        vars.push_back({sym, line_no, std::move(k), std::move(v)});
       }
     } else {
-      out.extra_lines_.push_back(stripped);
+      out.extra_lines_.emplace_back(line);
     }
   }
 
-  for (const auto& [p, c, ln] : deps) {
-    PRIO_CHECK_MSG(out.findJob(p) != nullptr,
-                   "line " << ln << ": unknown parent job " << p);
-    PRIO_CHECK_MSG(out.findJob(c) != nullptr,
-                   "line " << ln << ": unknown child job " << c);
-    out.addDependency(p, c);
+  std::size_t num_arcs = 0;
+  for (const ArcLine& l : arc_lines) {
+    num_arcs += (l.split - l.begin) * (l.end - l.split);
   }
-  for (const auto& [job, k, v, ln] : vars) {
-    DagmanJob* j = out.findJob(job);
-    PRIO_CHECK_MSG(j != nullptr, "line " << ln << ": VARS for unknown job "
-                                         << job);
-    j->setVar(k, v);
+  out.dependencies_.reserve(num_arcs);
+  for (const ArcLine& l : arc_lines) {
+    for (std::size_t i = l.begin; i != l.split; ++i) {
+      for (std::size_t j = l.split; j != l.end; ++j) {
+        const std::uint32_t parent = symbols.job[arc_syms[i]];
+        PRIO_CHECK_MSG(parent != kUnbound,
+                       "line " << l.line_no << ": unknown parent job "
+                               << symbols.name[arc_syms[i]]);
+        const std::uint32_t child = symbols.job[arc_syms[j]];
+        PRIO_CHECK_MSG(child != kUnbound,
+                       "line " << l.line_no << ": unknown child job "
+                               << symbols.name[arc_syms[j]]);
+        out.dependencies_.push_back({parent, child});
+      }
+    }
+  }
+  for (PendingVar& v : vars) {
+    const std::uint32_t job = symbols.job[v.sym];
+    PRIO_CHECK_MSG(job != kUnbound, "line " << v.line_no
+                                            << ": VARS for unknown job "
+                                            << symbols.name[v.sym]);
+    out.jobs_[job].setVar(v.key, std::move(v.value));
   }
   return out;
+}
+
+DagmanFile DagmanFile::parse(std::istream& in) {
+  const std::string text = readAll(in);
+  return parse(std::string_view(text));
 }
 
 DagmanFile DagmanFile::parseFile(const std::string& path) {
@@ -185,70 +338,87 @@ DagmanFile DagmanFile::parseFile(const std::string& path) {
   const auto status = std::filesystem::status(path, ec);
   PRIO_CHECK_MSG(!ec && std::filesystem::is_regular_file(status),
                  "not a regular DAGMan file: " << path);
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   PRIO_CHECK_MSG(in.good(), "cannot open DAGMan file " << path);
-  DagmanFile out = parse(in);
+  const std::string text = readAll(in);
   PRIO_CHECK_MSG(!in.bad(), "I/O error while reading DAGMan file " << path);
-  return out;
+  return parse(std::string_view(text));
+}
+
+void DagmanFile::indexJobs() {
+  if (index_.size() == jobs_.size()) return;
+  index_.clear();
+  index_.reserve(jobs_.size());
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    index_.emplace(jobs_[i].name, static_cast<std::uint32_t>(i));
+  }
 }
 
 DagmanJob& DagmanFile::addJob(std::string name, std::string submit_file) {
-  PRIO_CHECK_MSG(job_index_.find(name) == job_index_.end(),
-                 "duplicate JOB " << name);
-  job_index_.emplace(name, jobs_.size());
-  DagmanJob job;
+  indexJobs();
+  PRIO_CHECK_MSG(jobs_.size() < kUnbound, "too many jobs");
+  PRIO_CHECK_MSG(
+      index_.try_emplace(name, static_cast<std::uint32_t>(jobs_.size()))
+          .second,
+      "duplicate JOB " << name);
+  DagmanJob& job = jobs_.emplace_back();
   job.name = std::move(name);
   job.submit_file = std::move(submit_file);
-  jobs_.push_back(std::move(job));
-  return jobs_.back();
+  return job;
 }
 
 void DagmanFile::addDependency(const std::string& parent,
                                const std::string& child) {
-  PRIO_CHECK_MSG(findJob(parent) != nullptr, "unknown parent " << parent);
-  PRIO_CHECK_MSG(findJob(child) != nullptr, "unknown child " << child);
-  dependencies_.emplace_back(parent, child);
+  indexJobs();
+  const auto p = index_.find(parent);
+  PRIO_CHECK_MSG(p != index_.end(), "unknown parent " << parent);
+  const auto c = index_.find(child);
+  PRIO_CHECK_MSG(c != index_.end(), "unknown child " << child);
+  dependencies_.push_back({p->second, c->second});
 }
 
 DagmanJob* DagmanFile::findJob(const std::string& name) {
-  auto it = job_index_.find(name);
-  return it == job_index_.end() ? nullptr : &jobs_[it->second];
+  indexJobs();
+  return const_cast<DagmanJob*>(std::as_const(*this).findJob(name));
 }
 
 const DagmanJob* DagmanFile::findJob(const std::string& name) const {
-  auto it = job_index_.find(name);
-  return it == job_index_.end() ? nullptr : &jobs_[it->second];
+  if (index_.size() == jobs_.size()) {
+    const auto it = index_.find(name);
+    return it == index_.end() ? nullptr : &jobs_[it->second];
+  }
+  const auto it =
+      std::find_if(jobs_.begin(), jobs_.end(),
+                   [&](const DagmanJob& j) { return j.name == name; });
+  return it == jobs_.end() ? nullptr : &*it;
 }
 
 dag::Digraph DagmanFile::toDigraph() const {
-  dag::Digraph g;
-  g.reserveNodes(jobs_.size());
-  for (const DagmanJob& job : jobs_) g.addNode(job.name);
-  for (const auto& [p, c] : dependencies_) {
-    g.addEdge(*g.findNode(p), *g.findNode(c));
-  }
-  PRIO_CHECK_MSG(dag::isAcyclic(g),
-                 "DAGMan dependencies contain a directed cycle");
-  return g;
+  std::vector<std::string> names;
+  names.reserve(jobs_.size());
+  for (const DagmanJob& job : jobs_) names.push_back(job.name);
+  return buildDigraph(std::move(names), dependencies_);
 }
 
 dag::Digraph DagmanFile::toPendingDigraph(
     std::vector<std::size_t>* job_of_node) const {
-  dag::Digraph g;
   if (job_of_node != nullptr) job_of_node->clear();
+  std::vector<std::uint32_t> node_of(jobs_.size(), kUnbound);
+  std::vector<std::string> names;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     if (jobs_[i].done) continue;
-    g.addNode(jobs_[i].name);
+    node_of[i] = static_cast<std::uint32_t>(names.size());
+    names.push_back(jobs_[i].name);
     if (job_of_node != nullptr) job_of_node->push_back(i);
   }
-  for (const auto& [p, c] : dependencies_) {
-    const auto pn = g.findNode(p);
-    const auto cn = g.findNode(c);
-    if (pn.has_value() && cn.has_value()) g.addEdge(*pn, *cn);
+  std::vector<Dependency> arcs;
+  arcs.reserve(dependencies_.size());
+  for (const Dependency& d : dependencies_) {
+    if (node_of[d.parent] != kUnbound && node_of[d.child] != kUnbound) {
+      arcs.push_back({node_of[d.parent], node_of[d.child]});
+    }
   }
-  PRIO_CHECK_MSG(dag::isAcyclic(g),
-                 "DAGMan dependencies contain a directed cycle");
-  return g;
+  return buildDigraph(std::move(names), arcs);
 }
 
 bool DagmanFile::hasDoneJobs() const {
@@ -258,21 +428,50 @@ bool DagmanFile::hasDoneJobs() const {
   return false;
 }
 
-void DagmanFile::write(std::ostream& out) const {
+std::string DagmanFile::render() const {
+  // Exact size short of VARS escapes, so the appends rarely reallocate.
+  std::size_t size = 0;
   for (const DagmanJob& job : jobs_) {
-    out << "Job " << job.name << ' ' << job.submit_file;
-    if (job.done) out << " DONE";
-    out << '\n';
+    size += 6 + job.name.size() + job.submit_file.size() + (job.done ? 5 : 0);
+    for (const auto& [k, v] : job.vars) {
+      size += 10 + job.name.size() + k.size() + v.size();
+    }
+  }
+  for (const Dependency& d : dependencies_) {
+    size += 15 + jobs_[d.parent].name.size() + jobs_[d.child].name.size();
+  }
+  for (const std::string& extra : extra_lines_) size += extra.size() + 1;
+
+  std::string out;
+  out.reserve(size);
+  for (const DagmanJob& job : jobs_) {
+    out.append("Job ").append(job.name).append(" ").append(job.submit_file);
+    if (job.done) out.append(" DONE");
+    out.push_back('\n');
   }
   for (const DagmanJob& job : jobs_) {
     for (const auto& [k, v] : job.vars) {
-      out << "Vars " << job.name << ' ' << k << "=\"" << v << "\"\n";
+      out.append("Vars ").append(job.name).append(" ").append(k).append("=\"");
+      appendEscaped(out, v);
+      out.append("\"\n");
     }
   }
-  for (const auto& [p, c] : dependencies_) {
-    out << "PARENT " << p << " CHILD " << c << '\n';
+  for (const Dependency& d : dependencies_) {
+    out.append("PARENT ")
+        .append(jobs_[d.parent].name)
+        .append(" CHILD ")
+        .append(jobs_[d.child].name)
+        .push_back('\n');
   }
-  for (const std::string& extra : extra_lines_) out << extra << '\n';
+  for (const std::string& extra : extra_lines_) {
+    out.append(extra).push_back('\n');
+  }
+  return out;
+}
+
+void DagmanFile::write(std::ostream& out) const {
+  const std::string text = render();
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void DagmanFile::writeFile(const std::string& path) const {

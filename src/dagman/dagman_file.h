@@ -6,14 +6,29 @@
 // the dag, runs the scheduling heuristic, and writes the file back with a
 // `jobpriority` macro defined for every job (Fig. 3). Unrecognized
 // directives (RETRY, SCRIPT, CONFIG, ...) are preserved verbatim.
+//
+// Parsing is one pass over the text (DESIGN.md §9, "Single-pass DAGMan
+// scanner"): lines are split in place, each job name is interned once in
+// a table local to the parse, and PARENT/CHILD arcs are kept as pairs of
+// job indices. toDigraph() fills the adjacency arrays that
+// Digraph::fromAdjacency() adopts, with no name lookups. render() writes
+// the canonical form into one string: Job lines, then Vars lines, then
+// one PARENT line per arc, then the preserved extras; comments are
+// dropped and keywords normalised.
+//
+// Thread safety: const members are safe to call concurrently; mutation
+// requires exclusive access.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <istream>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dag/digraph.h"
@@ -31,27 +46,38 @@ struct DagmanJob {
   /// Value of a macro, if defined.
   [[nodiscard]] std::optional<std::string> var(const std::string& key) const;
   /// Defines or overwrites a macro.
-  void setVar(const std::string& key, const std::string& value);
+  void setVar(std::string_view key, std::string value);
+};
+
+/// One PARENT -> CHILD arc, as indices into DagmanFile::jobs().
+struct Dependency {
+  std::uint32_t parent = 0;
+  std::uint32_t child = 0;
+  friend bool operator==(const Dependency&, const Dependency&) = default;
 };
 
 /// A parsed DAGMan input file.
 class DagmanFile {
  public:
-  /// Parses from a stream. Throws util::Error on malformed lines,
-  /// duplicate job names, or dependencies naming unknown jobs.
+  /// Parses DAGMan text. Throws util::Error, naming the line, in this
+  /// precedence: a malformed line or a duplicate JOB (the first in the
+  /// text); a PARENT/CHILD naming an unknown job (in dependency order);
+  /// a VARS for an unknown job. Jobs may be named before their JOB line.
+  static DagmanFile parse(std::string_view text);
+  /// Reads the rest of `in` in bulk, then parses it as above.
   static DagmanFile parse(std::istream& in);
-  /// Parses from a file on disk.
+  /// Reads a regular file in one call and parses it.
   static DagmanFile parseFile(const std::string& path);
 
   [[nodiscard]] const std::vector<DagmanJob>& jobs() const { return jobs_; }
   [[nodiscard]] std::vector<DagmanJob>& jobs() { return jobs_; }
-  /// (parent, child) pairs in declaration order, expanded from PARENT ...
-  /// CHILD ... lines.
-  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
-  dependencies() const {
+  /// Arcs in declaration order, expanded from PARENT ... CHILD ... lines
+  /// (each parent times each child). Repeats are kept: render() writes
+  /// them back and toDigraph() collapses them.
+  [[nodiscard]] const std::vector<Dependency>& dependencies() const {
     return dependencies_;
   }
-  /// Directives preserved verbatim (RETRY, SCRIPT, ...).
+  /// Directives preserved verbatim (RETRY, SCRIPT, ...), each trimmed.
   [[nodiscard]] const std::vector<std::string>& extraLines() const {
     return extra_lines_;
   }
@@ -61,12 +87,16 @@ class DagmanFile {
   /// Adds a dependency; both jobs must already exist.
   void addDependency(const std::string& parent, const std::string& child);
 
+  /// The job of that name, or null. The non-const overload indexes the
+  /// names on first use after a parse; the const one stays read-only and
+  /// scans the jobs while no index exists.
   [[nodiscard]] DagmanJob* findJob(const std::string& name);
   [[nodiscard]] const DagmanJob* findJob(const std::string& name) const;
 
   /// The job-dependency dag; node ids follow job declaration order and
-  /// node names are job names. Throws util::Error if the dependencies
-  /// form a cycle.
+  /// node names are job names. A repeated arc keeps its first position,
+  /// so children(u) and parents(v) list arcs in declaration order.
+  /// Throws util::Error on a self-loop or a directed cycle.
   [[nodiscard]] dag::Digraph toDigraph() const;
 
   /// The dag of jobs NOT marked DONE (rescue-dag re-prioritization):
@@ -82,8 +112,12 @@ class DagmanFile {
   /// True when any job carries the DONE mark.
   [[nodiscard]] bool hasDoneJobs() const;
 
-  /// Serializes back to DAGMan syntax (JOB lines, VARS lines, PARENT/CHILD
-  /// lines, then preserved extras).
+  /// Serializes back to DAGMan syntax in one pre-sized string: JOB
+  /// lines, VARS lines, one PARENT/CHILD line per dependency, then the
+  /// preserved extras. VARS values escape '"' and '\' with a backslash,
+  /// so parse(render()) reads back the same file.
+  [[nodiscard]] std::string render() const;
+  /// render(), written to a stream.
   void write(std::ostream& out) const;
   void writeFile(const std::string& path) const;
   /// As writeFile(), but crash-safe: content lands in a sibling temp
@@ -92,10 +126,16 @@ class DagmanFile {
   void writeFileAtomic(const std::string& path) const;
 
  private:
+  /// Brings index_ up to date with jobs_ (a no-op when it already is).
+  void indexJobs();
+
   std::vector<DagmanJob> jobs_;
-  std::map<std::string, std::size_t> job_index_;
-  std::vector<std::pair<std::string, std::string>> dependencies_;
+  std::vector<Dependency> dependencies_;
   std::vector<std::string> extra_lines_;
+  /// Job name -> index into jobs_, for addJob, addDependency and
+  /// findJob. parse() leaves it empty (the scan keeps its own table), so
+  /// it is current exactly when it holds one entry per job.
+  std::unordered_map<std::string, std::uint32_t> index_;
 };
 
 }  // namespace prio::dagman

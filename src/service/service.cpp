@@ -4,7 +4,6 @@
 #include <exception>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -223,8 +222,7 @@ void PrioService::servePayload(const Payload& payload, Reply& reply,
     if (binary) {
       g = dag::decodeBinaryDag(payload.bytes);
     } else {
-      std::istringstream in(payload.bytes);
-      file = dagman::DagmanFile::parse(in);
+      file = dagman::DagmanFile::parse(std::string_view(payload.bytes));
       has_done = file.hasDoneJobs();
       g = has_done ? file.toPendingDigraph(&job_of_node) : file.toDigraph();
     }
@@ -246,9 +244,7 @@ void PrioService::servePayload(const Payload& payload, Reply& reply,
     } else {
       dagman::instrumentDagmanFile(file, reply.result->priority);
     }
-    std::ostringstream out;
-    file.write(out);
-    reply.output = std::move(out).str();
+    reply.output = file.render();
   }
   reply.output_kind = payload.kind;
 

@@ -35,12 +35,10 @@ TEST(DagmanParse, Fig3File) {
   EXPECT_EQ(f.jobs()[0].name, "a");
   EXPECT_EQ(f.jobs()[0].submit_file, "a.submit");
   ASSERT_EQ(f.dependencies().size(), 3u);
-  EXPECT_EQ(f.dependencies()[0],
-            (std::pair<std::string, std::string>{"a", "b"}));
-  EXPECT_EQ(f.dependencies()[1],
-            (std::pair<std::string, std::string>{"c", "d"}));
-  EXPECT_EQ(f.dependencies()[2],
-            (std::pair<std::string, std::string>{"c", "e"}));
+  // Dependencies are job indices: a=0, b=1, c=2, d=3, e=4.
+  EXPECT_EQ(f.dependencies()[0], (Dependency{0, 1}));
+  EXPECT_EQ(f.dependencies()[1], (Dependency{2, 3}));
+  EXPECT_EQ(f.dependencies()[2], (Dependency{2, 4}));
 }
 
 TEST(DagmanParse, MultiParentMultiChildExpansion) {
