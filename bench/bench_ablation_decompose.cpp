@@ -6,7 +6,7 @@
 // We compare decompose() with and without the bipartite fast path on
 // scaled SDSS- and Montage-shaped dags (the slow path is exercised at
 // sizes where it still terminates quickly enough to benchmark), plus the
-// transitive-reduction backends.
+// transitive reduction that precedes it.
 #include <benchmark/benchmark.h>
 
 #include "core/decompose.h"
@@ -68,24 +68,15 @@ void BM_DecomposeMontage_GeneralOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_DecomposeMontage_GeneralOnly)->Arg(4)->Arg(8);
 
-// Transitive-reduction backend comparison (step 1's cost).
-void BM_ReduceBitset(benchmark::State& state) {
+// Shortcut removal (step 1's cost).
+void BM_Reduce(benchmark::State& state) {
   const auto g = sdssScaled(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        transitiveReduction(g, prio::dag::ReductionMethod::kBitset));
+    benchmark::DoNotOptimize(transitiveReduction(g));
   }
+  state.SetLabel(std::to_string(g.numNodes()) + " jobs");
 }
-BENCHMARK(BM_ReduceBitset)->Arg(50)->Arg(200);
-
-void BM_ReduceEdgeDfs(benchmark::State& state) {
-  const auto g = sdssScaled(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        transitiveReduction(g, prio::dag::ReductionMethod::kEdgeDfs));
-  }
-}
-BENCHMARK(BM_ReduceEdgeDfs)->Arg(50)->Arg(200);
+BENCHMARK(BM_Reduce)->Arg(50)->Arg(200);
 
 }  // namespace
 

@@ -65,8 +65,7 @@ PrioResult prioritize(const PrioRequest& request) {
   const dag::Digraph* reduced = request.reduced;
   if (reduced == nullptr) {
     obs::Span span(ctx, "prio.reduce");
-    reduced_storage =
-        transitiveReduction(g, options.reduction_method, span.context());
+    reduced_storage = transitiveReduction(g, span.context());
     reduced = &reduced_storage;
     out.timings.reduce_s = phase.elapsedSeconds();
   }

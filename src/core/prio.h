@@ -42,8 +42,6 @@ namespace prio::core {
 /// Every knob of the pipeline in one place. A default-constructed
 /// PrioOptions reproduces the paper's heuristic exactly.
 struct PrioOptions {
-  /// Reachability backend for shortcut removal.
-  dag::ReductionMethod reduction_method = dag::ReductionMethod::kBitset;
   /// §3.5 decomposition fast path.
   bool bipartite_fast_path = true;
   /// Combine-phase selection structure (§3.5 engineering vs naive).

@@ -11,7 +11,6 @@
 
 #include "dag/digraph.h"
 #include "obs/trace.h"
-#include "util/bitmatrix.h"
 
 namespace prio::dag {
 
@@ -37,45 +36,25 @@ namespace prio::dag {
 [[nodiscard]] bool isTopologicalOrder(const Digraph& g,
                                       std::span<const NodeId> order);
 
-/// Dense descendant matrix: row u has bit v set iff v is reachable from u
-/// by a path of length >= 1. Memory is numNodes()^2 / 8 bytes. Long rows
-/// are processed in cache-blocked column tiles (util::BitMatrix
-/// orRowRangeInto), which keeps the OR-ed row segments cache-resident on
-/// large dags; the result is bit-identical either way.
-[[nodiscard]] util::BitMatrix descendantMatrix(const Digraph& g);
-
-/// As above with a precomputed topological order of `g` (any valid order;
-/// the result does not depend on which). Skips the internal
-/// topologicalOrder() call — the decompose pipeline computes the order
-/// once and reuses it here, for transitiveReduction, and for decompose's
-/// acyclicity check. Precondition: isTopologicalOrder(g, topo_order).
-[[nodiscard]] util::BitMatrix descendantMatrix(
-    const Digraph& g, std::span<const NodeId> topo_order);
-
-/// How transitiveReduction computes reachability.
-enum class ReductionMethod {
-  kBitset,   ///< word-parallel descendant matrix; O(V*E/64) time, O(V^2/8) memory
-  kEdgeDfs,  ///< per-edge DFS; O(E*(V+E)) time, O(V) memory (small graphs)
-};
-
 /// Removes every shortcut arc (u -> v) such that v is reachable from u
-/// without that arc (§3.1 step 1). Nodes and names are preserved.
-/// Precondition: g is acyclic (a dag's transitive reduction is unique).
-[[nodiscard]] Digraph transitiveReduction(
-    const Digraph& g, ReductionMethod method = ReductionMethod::kBitset);
+/// without that arc (§3.1 step 1). Nodes and names are preserved; each
+/// node keeps its surviving children in their original order and lists
+/// its parents in ascending id. Memory is O(V + E) plus one reachability
+/// slab of at most V x 4,096 bits (DESIGN.md §9, "Slabbed shortcut
+/// removal"). Precondition: g is acyclic (a dag's transitive reduction
+/// is unique); throws util::Error otherwise.
+[[nodiscard]] Digraph transitiveReduction(const Digraph& g);
 
 /// As above with a precomputed topological order of `g`, so the order is
 /// not recomputed per call (the acyclicity precondition is implied by the
 /// order's existence). Precondition: isTopologicalOrder(g, topo_order).
 [[nodiscard]] Digraph transitiveReduction(const Digraph& g,
-                                          ReductionMethod method,
                                           std::span<const NodeId> topo_order);
 
-/// As transitiveReduction(g, method), recording "reduce.topo_order" and
+/// As transitiveReduction(g), recording "reduce.topo_order" and
 /// "reduce.filter" sub-spans under `trace` (a disabled context costs one
 /// branch per span site; the result is identical either way).
 [[nodiscard]] Digraph transitiveReduction(const Digraph& g,
-                                          ReductionMethod method,
                                           const obs::TraceContext& trace);
 
 /// Weakly connected components (arc orientation ignored). Returns the

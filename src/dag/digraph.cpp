@@ -1,5 +1,6 @@
 #include "dag/digraph.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "dag/csr.h"
@@ -166,33 +167,62 @@ std::optional<NodeId> Digraph::findNode(std::string_view name) const {
 }
 
 Digraph Digraph::reversed() const {
-  Digraph r;
-  r.reserveNodes(numNodes());
-  for (NodeId u = 0; u < numNodes(); ++u) r.addNode(names_[u]);
-  for (NodeId u = 0; u < numNodes(); ++u) {
-    for (NodeId v : children_[u]) r.addEdge(v, u);
+  // As an addEdge(v, u) loop over every arc u -> v in id order would
+  // build it: u's parents are its old children in their order, v's
+  // children its old parents in ascending id.
+  const std::size_t n = numNodes();
+  std::vector<std::vector<NodeId>> children(n);
+  std::vector<std::vector<NodeId>> parents(children_.begin(), children_.end());
+  for (NodeId v = 0; v < n; ++v) children[v].reserve(parents_[v].size());
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : children_[u]) children[v].push_back(u);
   }
-  return r;
+  return fromAdjacency(names_, std::move(children), std::move(parents),
+                       num_edges_);
 }
 
 Digraph Digraph::inducedSubgraph(std::span<const NodeId> keep) const {
-  Digraph sub;
-  sub.reserveNodes(keep.size());
-  std::unordered_map<NodeId, NodeId> remap;
-  remap.reserve(keep.size());
-  for (NodeId u : keep) {
-    PRIO_CHECK(u < numNodes());
-    PRIO_CHECK_MSG(remap.find(u) == remap.end(),
-                   "duplicate node in inducedSubgraph: " << names_[u]);
-    remap.emplace(u, sub.addNode(names_[u]));
+  // (old id, new id) sorted by old id: one binary search per arc and an
+  // adjacent-pair scan for repeated ids.
+  std::vector<std::pair<NodeId, NodeId>> local;
+  local.reserve(keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    PRIO_CHECK(keep[i] < numNodes());
+    local.emplace_back(keep[i], static_cast<NodeId>(i));
   }
-  for (NodeId u : keep) {
-    for (NodeId v : children_[u]) {
-      auto it = remap.find(v);
-      if (it != remap.end()) sub.addEdge(remap.at(u), it->second);
+  std::sort(local.begin(), local.end());
+  const auto repeat = std::adjacent_find(
+      local.begin(), local.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  PRIO_CHECK_MSG(repeat == local.end(),
+                 "duplicate node in inducedSubgraph: " << names_[repeat->first]);
+  const auto newId = [&](NodeId old) -> std::optional<NodeId> {
+    const auto it = std::lower_bound(
+        local.begin(), local.end(), old,
+        [](const auto& entry, NodeId id) { return entry.first < id; });
+    if (it == local.end() || it->first != old) return std::nullopt;
+    return it->second;
+  };
+
+  // As an addEdge loop over `keep` in order would build it: children in
+  // their original order, parents in ascending new id.
+  std::vector<std::string> names;
+  names.reserve(keep.size());
+  std::vector<std::vector<NodeId>> children(keep.size());
+  std::vector<std::vector<NodeId>> parents(keep.size());
+  std::size_t num_edges = 0;
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    names.push_back(names_[keep[i]]);
+    for (NodeId v : children_[keep[i]]) {
+      if (const auto j = newId(v)) {
+        children[i].push_back(*j);
+        parents[*j].push_back(static_cast<NodeId>(i));
+        ++num_edges;
+      }
     }
   }
-  return sub;
+  return fromAdjacency(std::move(names), std::move(children),
+                       std::move(parents), num_edges);
 }
 
 void Digraph::reserveNodes(std::size_t n) {

@@ -80,9 +80,8 @@ std::uint64_t structuralFingerprintOfReduced(const Digraph& reduced) {
   return h;
 }
 
-std::uint64_t structuralFingerprint(const Digraph& g,
-                                    ReductionMethod method) {
-  return structuralFingerprintOfReduced(transitiveReduction(g, method));
+std::uint64_t structuralFingerprint(const Digraph& g) {
+  return structuralFingerprintOfReduced(transitiveReduction(g));
 }
 
 std::uint64_t layoutHash(const Digraph& g) {

@@ -37,8 +37,7 @@ namespace prio::dag {
 
 /// Isomorphism-stable fingerprint of g's transitive reduction.
 /// Precondition: g is acyclic (throws util::Error otherwise).
-[[nodiscard]] std::uint64_t structuralFingerprint(
-    const Digraph& g, ReductionMethod method = ReductionMethod::kBitset);
+[[nodiscard]] std::uint64_t structuralFingerprint(const Digraph& g);
 
 /// As structuralFingerprint, but `reduced` must already be shortcut-free;
 /// skips the reduction. (prioritize() computes the reduction anyway — the

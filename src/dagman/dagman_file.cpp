@@ -262,9 +262,17 @@ DagmanFile DagmanFile::parse(std::string_view text) {
       DagmanJob& job = out.jobs_.emplace_back();
       job.name = name;
       job.submit_file = submit;
+      // DIR takes the next token as its directory (none when the line
+      // ends); any other option is dropped.
       for (std::string_view flag = nextToken(rest); !flag.empty();
            flag = nextToken(rest)) {
-        if (isKeyword(flag, "DONE")) job.done = true;
+        if (isKeyword(flag, "DONE")) {
+          job.done = true;
+        } else if (isKeyword(flag, "NOOP")) {
+          job.noop = true;
+        } else if (isKeyword(flag, "DIR")) {
+          job.dir = nextToken(rest);
+        }
       }
     } else if (isKeyword(keyword, "PARENT")) {
       ArcLine arcs{line_no, arc_syms.size(), 0, 0};
@@ -432,7 +440,9 @@ std::string DagmanFile::render() const {
   // Exact size short of VARS escapes, so the appends rarely reallocate.
   std::size_t size = 0;
   for (const DagmanJob& job : jobs_) {
-    size += 6 + job.name.size() + job.submit_file.size() + (job.done ? 5 : 0);
+    size += 6 + job.name.size() + job.submit_file.size() +
+            (job.dir.empty() ? 0 : 5 + job.dir.size()) + (job.noop ? 5 : 0) +
+            (job.done ? 5 : 0);
     for (const auto& [k, v] : job.vars) {
       size += 10 + job.name.size() + k.size() + v.size();
     }
@@ -446,6 +456,8 @@ std::string DagmanFile::render() const {
   out.reserve(size);
   for (const DagmanJob& job : jobs_) {
     out.append("Job ").append(job.name).append(" ").append(job.submit_file);
+    if (!job.dir.empty()) out.append(" DIR ").append(job.dir);
+    if (job.noop) out.append(" NOOP");
     if (job.done) out.append(" DONE");
     out.push_back('\n');
   }

@@ -1,11 +1,12 @@
 // DAGMan input-file model (§3.2).
 //
-// A DAGMan input file declares jobs ("JOB <name> <submit-file>"),
-// dependencies ("PARENT <p...> CHILD <c...>") and per-job macros
-// ("VARS <job> key=\"value\""). The prio tool parses such a file, extracts
-// the dag, runs the scheduling heuristic, and writes the file back with a
-// `jobpriority` macro defined for every job (Fig. 3). Unrecognized
-// directives (RETRY, SCRIPT, CONFIG, ...) are preserved verbatim.
+// A DAGMan input file declares jobs ("JOB <name> <submit-file> [DIR
+// <dir>] [NOOP] [DONE]"), dependencies ("PARENT <p...> CHILD <c...>") and
+// per-job macros ("VARS <job> key=\"value\""). The prio tool parses such
+// a file, extracts the dag, runs the scheduling heuristic, and writes the
+// file back with a `jobpriority` macro defined for every job (Fig. 3).
+// Other JOB options are dropped; unrecognized directives (RETRY, SCRIPT,
+// CONFIG, ...) are preserved verbatim.
 //
 // Parsing is one pass over the text (DESIGN.md §9, "Single-pass DAGMan
 // scanner"): lines are split in place, each job name is interned once in
@@ -39,7 +40,9 @@ namespace prio::dagman {
 struct DagmanJob {
   std::string name;
   std::string submit_file;
-  bool done = false;  ///< the DONE keyword
+  std::string dir;     ///< the DIR option's directory; empty when absent
+  bool noop = false;   ///< the NOOP keyword
+  bool done = false;   ///< the DONE keyword
   /// VARS macros in declaration order (later duplicates overwrite).
   std::vector<std::pair<std::string, std::string>> vars;
 
@@ -113,9 +116,10 @@ class DagmanFile {
   [[nodiscard]] bool hasDoneJobs() const;
 
   /// Serializes back to DAGMan syntax in one pre-sized string: JOB
-  /// lines, VARS lines, one PARENT/CHILD line per dependency, then the
-  /// preserved extras. VARS values escape '"' and '\' with a backslash,
-  /// so parse(render()) reads back the same file.
+  /// lines (`Job <name> <submit> [DIR <dir>] [NOOP] [DONE]`), VARS lines,
+  /// one PARENT/CHILD line per dependency, then the preserved extras.
+  /// VARS values escape '"' and '\' with a backslash, so parse(render())
+  /// reads back the same file.
   [[nodiscard]] std::string render() const;
   /// render(), written to a stream.
   void write(std::ostream& out) const;

@@ -11,10 +11,14 @@
 // public surface. PRIO_API_VERSION bumps when that surface changes
 // incompatibly. A replaced entry point may stay one version as a
 // deprecated shim with bit-identical behavior; it is removed at the next
-// bump. No shim is live at version 3.
+// bump. No shim is live at version 4.
 #pragma once
 
 /// Public API version.
+///   4 = version 3 with one shortcut-removal algorithm: no
+///       dag::ReductionMethod, PrioOptions::reduction_method or method
+///       parameter of transitiveReduction() and structuralFingerprint(),
+///       and no dag::descendantMatrix() or util::BitMatrix.
 ///   3 = version 2 without its deprecated shims (the loose prioritize()
 ///       overloads, prioritizeWithReduction(), the three-argument
 ///       scheduleComponents(), service::TextRequest and
@@ -23,7 +27,7 @@
 ///   2 = the PrioRequest/PrioOptions aggregate API plus the obs
 ///       observability layer (metrics registry + structured tracing).
 ///   1 = the original loose-overload surface.
-#define PRIO_API_VERSION 3
+#define PRIO_API_VERSION 4
 
 // Substrates.
 #include "dag/algorithms.h"   // IWYU pragma: export

@@ -79,8 +79,7 @@ void PrioService::serveDigraph(const dag::Digraph& g, Reply& reply,
   {
     obs::Span span(trace, "service.fingerprint");
     const util::Stopwatch reduce_watch;
-    reduced = dag::transitiveReduction(
-        g, config_.prio_options.reduction_method, span.context());
+    reduced = dag::transitiveReduction(g, span.context());
     reduce_s = reduce_watch.elapsedSeconds();
     reply.fingerprint = dag::structuralFingerprintOfReduced(reduced);
     reply.layout = dag::layoutHash(g);

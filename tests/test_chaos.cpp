@@ -259,18 +259,34 @@ TEST(ServiceShedding, StaleQueuedRequestsAreShed) {
   config.cache_capacity = 0;  // every request computes (and stalls)
   PrioService service(config);
 
-  // First request occupies the single worker for ~30 ms; the rest wait
-  // longer than the 1 ms queue deadline and must be shed.
-  std::vector<std::future<Reply>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(service.submit(testDag()));
   std::size_t ok = 0, shed = 0;
-  for (auto& f : futures) {
-    const Reply r = f.get();
+  const auto tally = [&](const Reply& r) {
     if (r.status == RequestStatus::kOk) ++ok;
     else if (r.status == RequestStatus::kShed) ++shed;
     EXPECT_TRUE(r.status == RequestStatus::kOk ||
                 r.status == RequestStatus::kShed);
+  };
+
+  // The first request goes alone until it is inside its 30 ms stall. A
+  // worker that dequeues it more than 1 ms late (a busy host) sheds it
+  // before the stall, so it is resubmitted while it comes back shed.
+  std::future<Reply> first = service.submit(testDag());
+  while (Injector::instance().fireCount("core.decompose") == 0) {
+    if (first.wait_for(std::chrono::microseconds(200)) ==
+        std::future_status::ready) {
+      const Reply r = first.get();
+      ASSERT_EQ(r.status, RequestStatus::kShed);
+      tally(r);
+      first = service.submit(testDag());
+    }
   }
+
+  // The worker is now stalled, so the rest wait in the queue longer
+  // than the 1 ms deadline and must be shed.
+  std::vector<std::future<Reply>> futures;
+  futures.push_back(std::move(first));
+  for (int i = 0; i < 4; ++i) futures.push_back(service.submit(testDag()));
+  for (auto& f : futures) tally(f.get());
   EXPECT_GE(ok, 1u);
   EXPECT_GE(shed, 1u);
   EXPECT_EQ(service.metrics().requests_shed.get(), shed);

@@ -139,6 +139,34 @@ TEST(DagmanWrite, RoundTrips) {
   EXPECT_EQ(f2.dependencies(), f.dependencies());
 }
 
+TEST(DagmanWrite, KeepsDirAndNoop) {
+  // DIR takes the next token; NOOP and DONE are flags in any case and
+  // order; other options are dropped. Render writes them in one order.
+  const auto f = DagmanFile::parse(
+      "JOB a a.sub noop DIR sub/dir RETRY done\n"
+      "JOB b b.sub Dir d2\n"
+      "JOB c c.sub DIR\n"
+      "JOB d d.sub DIR NOOP\n"
+      "JOB e e.sub\n");
+  ASSERT_EQ(f.jobs().size(), 5u);
+  EXPECT_EQ(f.jobs()[0].dir, "sub/dir");
+  EXPECT_TRUE(f.jobs()[0].noop);
+  EXPECT_TRUE(f.jobs()[0].done);
+  EXPECT_EQ(f.jobs()[1].dir, "d2");
+  EXPECT_FALSE(f.jobs()[1].noop);
+  EXPECT_EQ(f.jobs()[2].dir, "");  // DIR with nothing after it
+  EXPECT_EQ(f.jobs()[3].dir, "NOOP");
+  EXPECT_FALSE(f.jobs()[3].noop);
+  const std::string bytes = f.render();
+  EXPECT_EQ(bytes,
+            "Job a a.sub DIR sub/dir NOOP DONE\n"
+            "Job b b.sub DIR d2\n"
+            "Job c c.sub\n"
+            "Job d d.sub DIR NOOP\n"
+            "Job e e.sub\n");
+  EXPECT_EQ(DagmanFile::parse(bytes).render(), bytes);
+}
+
 TEST(Instrument, Fig3PrioritiesMatchPaper) {
   std::istringstream in(kFig3);
   auto f = DagmanFile::parse(in);

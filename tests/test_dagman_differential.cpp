@@ -4,7 +4,10 @@
 // its toDigraph/toPendingDigraph and its ostream writer as they stood
 // before the single-pass scanner replaced them, rebuilt on plain
 // structs. It is the only thing in the tree that pins those bytes:
-// every other text check renders through the writer under test.
+// every other text check renders through the writer under test. The
+// one addition: both sides keep a JOB line's DIR directory and NOOP
+// flag and write them back, which the original parser and writer
+// dropped.
 //
 // For every input, either both sides throw util::Error with the same
 // message, or they agree on jobs, vars, dependencies, extra lines, the
@@ -55,6 +58,8 @@ namespace old {
 struct Job {
   std::string name;
   std::string submit_file;
+  std::string dir;
+  bool noop = false;
   bool done = false;
   std::vector<std::pair<std::string, std::string>> vars;
 
@@ -184,6 +189,12 @@ File parse(const std::string& text) {
       Job& job = out.addJob(name, file);
       while (is >> flag) {
         if (toUpper(flag) == "DONE") job.done = true;
+        if (toUpper(flag) == "NOOP") job.noop = true;
+        if (toUpper(flag) == "DIR") {
+          std::string dir;
+          is >> dir;
+          job.dir = dir;
+        }
       }
     } else if (upper == "PARENT") {
       std::string rest;
@@ -266,6 +277,8 @@ std::string write(const File& f) {
   std::ostringstream out;
   for (const Job& job : f.jobs) {
     out << "Job " << job.name << ' ' << job.submit_file;
+    if (!job.dir.empty()) out << " DIR " << job.dir;
+    if (job.noop) out << " NOOP";
     if (job.done) out << " DONE";
     out << '\n';
   }
@@ -331,6 +344,8 @@ void expectSameFile(const old::File& ref, const DagmanFile& got) {
   for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
     EXPECT_EQ(got.jobs()[i].name, ref.jobs[i].name);
     EXPECT_EQ(got.jobs()[i].submit_file, ref.jobs[i].submit_file);
+    EXPECT_EQ(got.jobs()[i].dir, ref.jobs[i].dir);
+    EXPECT_EQ(got.jobs()[i].noop, ref.jobs[i].noop);
     EXPECT_EQ(got.jobs()[i].done, ref.jobs[i].done);
     EXPECT_EQ(got.jobs()[i].vars, ref.jobs[i].vars);
   }
@@ -671,6 +686,7 @@ std::string tokenSoup(Rng& rng) {
       "JOB",  "PARENT", "CHILD", "VARS", "DONE",  "RETRY",
       "a",    "b",      "job1",  "x.sub", "=",    "\"v\"",
       "key=", "#",      "",      "  ",    "\\",   "\"",
+      "DIR",  "NOOP",
   };
   std::string out;
   const std::size_t lines = 1 + rng.below(8);

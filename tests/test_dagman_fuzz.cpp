@@ -22,6 +22,7 @@ std::string randomToken(Rng& rng) {
       "JOB",  "PARENT", "CHILD", "VARS", "DONE",  "RETRY",
       "a",    "b",      "job1",  "x.sub", "=",    "\"v\"",
       "key=", "#",      "",      "  ",    "\\",   "\"",
+      "DIR",  "NOOP",
   };
   return kTokens[rng.below(sizeof(kTokens) / sizeof(kTokens[0]))];
 }
@@ -57,6 +58,8 @@ TEST_P(ParserFuzz, GarbageEitherParsesOrThrowsError) {
     for (std::size_t i = 0; i < f.jobs().size(); ++i) {
       EXPECT_EQ(f2.jobs()[i].name, f.jobs()[i].name);
       EXPECT_EQ(f2.jobs()[i].submit_file, f.jobs()[i].submit_file);
+      EXPECT_EQ(f2.jobs()[i].dir, f.jobs()[i].dir);
+      EXPECT_EQ(f2.jobs()[i].noop, f.jobs()[i].noop);
       EXPECT_EQ(f2.jobs()[i].done, f.jobs()[i].done);
       EXPECT_EQ(f2.jobs()[i].vars, f.jobs()[i].vars);
     }
@@ -80,6 +83,8 @@ TEST_P(RoundTripProperty, StructuredRandomFilesRoundTrip) {
                             "submit_" + std::to_string(rng.below(5)) +
                                 ".sub");
     if (rng.below(4) == 0) job.done = true;
+    if (rng.below(3) == 0) job.dir = "run/" + std::to_string(rng.below(4));
+    if (rng.below(5) == 0) job.noop = true;
     if (rng.below(3) == 0) {
       // Values may hold quotes and backslashes, which the writer must
       // escape for the parser to read them back.
@@ -107,6 +112,8 @@ TEST_P(RoundTripProperty, StructuredRandomFilesRoundTrip) {
   for (std::size_t i = 0; i < file.jobs().size(); ++i) {
     EXPECT_EQ(parsed.jobs()[i].name, file.jobs()[i].name);
     EXPECT_EQ(parsed.jobs()[i].submit_file, file.jobs()[i].submit_file);
+    EXPECT_EQ(parsed.jobs()[i].dir, file.jobs()[i].dir);
+    EXPECT_EQ(parsed.jobs()[i].noop, file.jobs()[i].noop);
     EXPECT_EQ(parsed.jobs()[i].done, file.jobs()[i].done);
     EXPECT_EQ(parsed.jobs()[i].vars, file.jobs()[i].vars);
   }

@@ -112,9 +112,6 @@ TEST_P(PipelineFuzzRandom, RandomShapesAllOptionPaths) {
                                ? core::CombineStrategy::kBTreeClasses
                                : core::CombineStrategy::kNaiveQuadratic;
     opt.greedy_bipartite_fallback = rng.below(2) == 0;
-    opt.reduction_method = rng.below(2) == 0
-                               ? dag::ReductionMethod::kBitset
-                               : dag::ReductionMethod::kEdgeDfs;
     expectValid(g, opt);
   }
 }

@@ -222,8 +222,7 @@ class PrioOptionMatrix : public ::testing::TestWithParam<int> {};
 TEST_P(PrioOptionMatrix, AllOptionCombinationsProduceValidSchedules) {
   const int mask = GetParam();
   PrioOptions opt;
-  opt.reduction_method = (mask & 1) ? ReductionMethod::kEdgeDfs
-                                    : ReductionMethod::kBitset;
+  opt.defer_component_graphs = (mask & 1) != 0;
   opt.bipartite_fast_path = (mask & 2) != 0;
   opt.combine_strategy = (mask & 4) ? CombineStrategy::kNaiveQuadratic
                                     : CombineStrategy::kBTreeClasses;

@@ -1,18 +1,15 @@
-// Tests for the small utility substrates: check macros, bit matrix,
-// timing/memory probes, DOT export.
+// Tests for the small utility substrates: check macros, timing/memory
+// probes, DOT export.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <thread>
 
 #include "dag/dot.h"
-#include "util/bitmatrix.h"
 #include "util/check.h"
 #include "util/timing.h"
 
 namespace {
-
-using prio::util::BitMatrix;
 
 TEST(Check, ThrowsWithLocationAndMessage) {
   try {
@@ -28,53 +25,6 @@ TEST(Check, ThrowsWithLocationAndMessage) {
 
 TEST(Check, PassesSilently) {
   EXPECT_NO_THROW(PRIO_CHECK(2 + 2 == 4));
-}
-
-TEST(BitMatrix, SetTestClear) {
-  BitMatrix m(3, 130);  // spans multiple words per row
-  EXPECT_FALSE(m.test(1, 64));
-  m.set(1, 64);
-  m.set(1, 129);
-  m.set(2, 0);
-  EXPECT_TRUE(m.test(1, 64));
-  EXPECT_TRUE(m.test(1, 129));
-  EXPECT_FALSE(m.test(0, 64));
-  m.clearBit(1, 64);
-  EXPECT_FALSE(m.test(1, 64));
-  EXPECT_TRUE(m.test(1, 129));
-}
-
-TEST(BitMatrix, RowPopcountAndOr) {
-  BitMatrix m(2, 200);
-  for (std::size_t c = 0; c < 200; c += 3) m.set(0, c);
-  EXPECT_EQ(m.rowPopcount(0), 67u);
-  EXPECT_EQ(m.rowPopcount(1), 0u);
-  m.orRowInto(1, 0);
-  EXPECT_EQ(m.rowPopcount(1), 67u);
-  m.set(1, 1);
-  m.orRowInto(1, 0);  // idempotent for existing bits
-  EXPECT_EQ(m.rowPopcount(1), 68u);
-}
-
-TEST(BitMatrix, RowsIntersect) {
-  BitMatrix m(3, 100);
-  m.set(0, 70);
-  m.set(1, 70);
-  m.set(2, 71);
-  EXPECT_TRUE(m.rowsIntersect(0, 1));
-  EXPECT_FALSE(m.rowsIntersect(0, 2));
-}
-
-TEST(BitMatrix, BoundsChecked) {
-  BitMatrix m(2, 10);
-  EXPECT_THROW(m.set(2, 0), prio::util::Error);
-  EXPECT_THROW(m.set(0, 10), prio::util::Error);
-  EXPECT_THROW((void)m.test(0, 11), prio::util::Error);
-}
-
-TEST(BitMatrix, ByteSizeAccountsForPadding) {
-  BitMatrix m(4, 65);  // 2 words per row
-  EXPECT_EQ(m.byteSize(), 4u * 2u * 8u);
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {
