@@ -1,9 +1,9 @@
 // Scaling of the full prioritize() pipeline with dag size, on SDSS-shaped
 // dags from ~1.5k to the paper's full 48k jobs. §3.6 reports per-dag
-// totals; this bench shows how each phase grows — transitive reduction is
-// the only super-linear phase (O(V*E/64) with an O(V^2/8) bit matrix),
-// while decomposition stays near-linear thanks to the parked-seed
-// engineering (DESIGN.md).
+// totals; this bench shows how each phase grows — transitive reduction
+// does O(slabs * (V + E*w)) word operations over at most 4,096 columns a
+// slab (DESIGN.md §9), and decomposition stays near-linear thanks to the
+// parked-seed engineering (DESIGN.md).
 #include <cstdio>
 
 #include "core/prio.h"
@@ -29,8 +29,6 @@ int main() {
                 1e6 * r.timings.total_s /
                     static_cast<double>(g.numNodes()));
   }
-  std::printf("\npeak RSS %zu MB (the descendant bit matrix dominates at "
-              "full size)\n",
-              util::peakRssKb() / 1024);
+  std::printf("\npeak RSS %zu MB\n", util::peakRssKb() / 1024);
   return 0;
 }
