@@ -15,24 +15,29 @@
 namespace {
 
 using prio::dag::Digraph;
+using prio::dag::DigraphBuilder;
 using prio::dag::NodeId;
 
 // A random connected bipartite dag: `sources` sources, `sinks` sinks,
 // each sink with 1-4 random parents.
 Digraph randomBipartite(std::size_t sources, std::size_t sinks,
                         prio::stats::Rng& rng) {
-  Digraph g;
+  DigraphBuilder g;
   for (std::size_t i = 0; i < sources; ++i) {
-    g.addNode("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    g.addNode(std::move(name));
   }
   for (std::size_t j = 0; j < sinks; ++j) {
-    const NodeId t = g.addNode("t" + std::to_string(j));
+    std::string name = "t";
+    name += std::to_string(j);
+    const NodeId t = g.addNode(std::move(name));
     const std::size_t parents = 1 + rng.below(4);
     for (std::size_t k = 0; k < parents; ++k) {
       g.addEdge(static_cast<NodeId>(rng.below(sources)), t);
     }
   }
-  return g;
+  return g.build();
 }
 
 long long area(const Digraph& g, const std::vector<NodeId>& order) {

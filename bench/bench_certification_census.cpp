@@ -16,17 +16,18 @@
 namespace {
 
 using prio::dag::Digraph;
+using prio::dag::DigraphBuilder;
 using prio::dag::NodeId;
 
 // Random out-tree: node i >= 1 gets a uniformly random parent among
 // 0..i-1. (Every out-tree is a composition of fan-out blocks.)
 Digraph randomOutTree(std::size_t n, prio::stats::Rng& rng) {
-  Digraph g;
-  for (std::size_t i = 0; i < n; ++i) g.addNode("n" + std::to_string(i));
+  DigraphBuilder g;
+  for (std::size_t i = 0; i < n; ++i) g.addNode();
   for (NodeId i = 1; i < n; ++i) {
     g.addEdge(static_cast<NodeId>(rng.below(i)), i);
   }
-  return g;
+  return g.build();
 }
 
 struct Census {

@@ -127,9 +127,8 @@ int main() {
                 w.name.c_str(), w.graph.numNodes(), w.graph.numEdges(),
                 reduced.numEdges());
 
-    // Warmup: builds the graphs' lazy CSR caches and touches every page
-    // the timed runs will, so t=1 (measured first) is not penalized with
-    // the one-time costs.
+    // Warmup: touches every page the timed runs will, so t=1 (measured
+    // first) is not penalized with the one-time costs.
     {
       PrioRequest warm(w.graph);
       warm.reduced = &reduced;

@@ -33,6 +33,7 @@
 #include "workloads/scientific.h"
 
 using prio::dag::Digraph;
+using prio::dag::DigraphBuilder;
 using prio::service::PrioService;
 using prio::service::Reply;
 using prio::service::RequestStatus;
@@ -43,7 +44,7 @@ namespace {
 // Same structure and id order, fresh names: hits the cache through the
 // name-blind fingerprint/layout pair.
 Digraph renamedCopy(const Digraph& g, const std::string& tag) {
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   for (prio::dag::NodeId u = 0; u < g.numNodes(); ++u) {
     out.addNode(tag + "_" + std::to_string(u));
@@ -51,7 +52,7 @@ Digraph renamedCopy(const Digraph& g, const std::string& tag) {
   for (prio::dag::NodeId u = 0; u < g.numNodes(); ++u) {
     for (prio::dag::NodeId v : g.children(u)) out.addEdge(u, v);
   }
-  return out;
+  return out.build();
 }
 
 std::vector<Digraph> uniquePool(std::size_t count, prio::stats::Rng& rng) {
@@ -120,7 +121,9 @@ int main() {
   while (requests.size() < num_requests) {
     const Digraph& base = pool[rng.next() % pool.size()];
     if (rng.next() % 2 == 0) {
-      requests.push_back(renamedCopy(base, "r" + std::to_string(renamed++)));
+      std::string tag = "r";
+      tag += std::to_string(renamed++);
+      requests.push_back(renamedCopy(base, tag));
     } else {
       requests.push_back(base);
     }

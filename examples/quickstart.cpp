@@ -14,16 +14,18 @@
 int main() {
   using namespace prio;
 
-  // 1. Describe the computation as a dag.
-  dag::Digraph g;
-  const auto a = g.addNode("a");
-  const auto b = g.addNode("b");
-  const auto c = g.addNode("c");
-  const auto d = g.addNode("d");
-  const auto e = g.addNode("e");
-  g.addEdge(a, b);
-  g.addEdge(c, d);
-  g.addEdge(c, e);
+  // 1. Describe the computation as a dag: add jobs and dependencies to
+  // a builder, then build the immutable graph.
+  dag::DigraphBuilder builder;
+  const auto a = builder.addNode("a");
+  const auto b = builder.addNode("b");
+  const auto c = builder.addNode("c");
+  const auto d = builder.addNode("d");
+  const auto e = builder.addNode("e");
+  builder.addEdge(a, b);
+  builder.addEdge(c, d);
+  builder.addEdge(c, e);
+  const dag::Digraph g = builder.build();
 
   // 2. Run the scheduling heuristic.
   const core::PrioResult result = core::prioritize(core::PrioRequest(g));

@@ -25,12 +25,13 @@ void printProfile(const char* label, const std::vector<std::size_t>& p) {
 int main() {
   std::printf("== 1. Eligibility is the objective ==\n");
   {
-    dag::Digraph g;
-    const auto a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d"), e = g.addNode("e");
-    g.addEdge(a, b);
-    g.addEdge(c, d);
-    g.addEdge(c, e);
+    dag::DigraphBuilder gb;
+    const auto a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d"), e = gb.addNode("e");
+    gb.addEdge(a, b);
+    gb.addEdge(c, d);
+    gb.addEdge(c, e);
+    const dag::Digraph g = gb.build();
     printProfile("schedule c,a,b,d,e:",
                  theory::eligibilityProfile(
                      g, std::vector<dag::NodeId>{c, a, b, d, e}));
@@ -73,15 +74,16 @@ int main() {
 
   std::printf("\n== 4. Some dags admit NO IC-optimal schedule ==\n");
   {
-    dag::Digraph g;
-    const auto a = g.addNode("a");
-    g.addEdge(a, g.addNode("b"));
-    const auto c = g.addNode("c"), d = g.addNode("d");
-    const auto e = g.addNode("e"), f = g.addNode("f");
-    g.addEdge(c, e);
-    g.addEdge(c, f);
-    g.addEdge(d, e);
-    g.addEdge(d, f);
+    dag::DigraphBuilder gb;
+    const auto a = gb.addNode("a");
+    gb.addEdge(a, gb.addNode("b"));
+    const auto c = gb.addNode("c"), d = gb.addNode("d");
+    const auto e = gb.addNode("e"), f = gb.addNode("f");
+    gb.addEdge(c, e);
+    gb.addEdge(c, f);
+    gb.addEdge(d, e);
+    gb.addEdge(d, f);
+    const dag::Digraph g = gb.build();
     std::printf("a 2-chain beside K(2,2): exact DP says IC-optimal "
                 "schedule exists? %s\n",
                 theory::findICOptimalSchedule(g) ? "yes" : "no");

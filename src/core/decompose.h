@@ -76,11 +76,11 @@ struct DecomposeOptions {
   const std::vector<dag::NodeId>* topo_order = nullptr;
   /// Leave Component::graph empty; the schedule phase materializes the
   /// induced subgraphs (in parallel) via
-  /// scheduleComponents(ScheduleRequest). Building those
-  /// graphs (string-keyed node index + hashed edge set per component) is
-  /// the most expensive part of a detach, and it is embarrassingly
-  /// parallel — deferring it moves the cost into the parallel phase.
-  /// Off by default so direct decompose() callers keep seeing graphs.
+  /// scheduleComponents(ScheduleRequest). Building those graphs (copied
+  /// names plus CSR arrays per component) is the most expensive part of
+  /// a detach, and it is embarrassingly parallel — deferring it moves
+  /// the cost into the parallel phase. prioritize() always defers. Off
+  /// by default so direct decompose() callers keep seeing graphs.
   bool defer_component_graphs = false;
 };
 

@@ -76,9 +76,9 @@ PrioResult prioritize(const PrioRequest& request) {
   // them); they cost one relaxed load each when the injector is off.
   // The topological order is derived once here and reused for decompose's
   // acyclicity precondition (verified, not re-derived). Component graphs
-  // are deferred (by default): building each induced Digraph is the
-  // expensive part of a detach and is embarrassingly parallel, so it
-  // runs inside step 3's workers instead.
+  // are deferred: building each induced Digraph is the expensive part of
+  // a detach and is embarrassingly parallel, so it runs inside step 3's
+  // workers instead.
   phase.reset();
   util::fault::checkpoint("core.decompose");
   {
@@ -89,7 +89,7 @@ PrioResult prioritize(const PrioRequest& request) {
     dopt.bipartite_fast_path = options.bipartite_fast_path;
     dopt.cancel = cancel;
     dopt.topo_order = &*topo_order;
-    dopt.defer_component_graphs = options.defer_component_graphs;
+    dopt.defer_component_graphs = true;
     out.decomposition = decompose(*reduced, dopt);
   }
   out.timings.decompose_s = phase.elapsedSeconds();

@@ -74,11 +74,6 @@ struct PrioOptions {
   /// offered with trySubmit() (never blocks), so the service lends its
   /// request pool here. Null with schedule_threads > 1 = transient pool.
   util::ThreadPool* schedule_pool = nullptr;
-  /// Leave Component::graph construction to the schedule phase's workers
-  /// (the expensive part of a detach, embarrassingly parallel). On by
-  /// default; turn off only to inspect decomposition graphs of a result
-  /// without touching component_schedules.
-  bool defer_component_graphs = true;
   /// Structured tracing context (disabled by default). When enabled,
   /// every phase and every parallel schedule work item records an
   /// obs::Span into the context's Tracer, correctly nested across

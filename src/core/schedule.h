@@ -47,7 +47,7 @@ struct ScheduleOptions {
 /// options.num_threads allows.
 struct ScheduleRequest {
   /// The graph the decomposition was computed from; any component whose
-  /// graph was deferred (PrioOptions::defer_component_graphs) is
+  /// graph was deferred (DecomposeOptions::defer_component_graphs) is
   /// materialized from it via inducedSubgraph — inside the workers, which
   /// is where the bulk of the per-component cost lives and why deferring
   /// pays. Required.

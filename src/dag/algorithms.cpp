@@ -4,20 +4,17 @@
 #include <cstdint>
 #include <string>
 
-#include "dag/csr.h"
-
 namespace prio::dag {
 
 std::optional<std::vector<NodeId>> topologicalOrder(const Digraph& g) {
   const std::size_t n = g.numNodes();
-  const Csr& csr = g.csr();
 
   // Fast path: when every arc ascends (u < v), the identity permutation
   // IS the lexicographically smallest topological order. Proof sketch: by
   // induction, when it is node k's turn every node < k has executed, so
   // all of k's parents (ids < k) are done and k is ready, and every other
   // ready node has a larger id. One O(V) sweep, no bookkeeping.
-  if (csr.edges_ascend) {
+  if (g.edgesAscend()) {
     std::vector<NodeId> order(n);
     for (NodeId u = 0; u < n; ++u) order[u] = u;
     return order;
@@ -33,7 +30,7 @@ std::optional<std::vector<NodeId>> topologicalOrder(const Digraph& g) {
   std::vector<std::uint64_t> ready(words, 0);
   std::size_t cursor = n;
   for (NodeId u = 0; u < n; ++u) {
-    pending[u] = static_cast<std::uint32_t>(csr.inDegree(u));
+    pending[u] = static_cast<std::uint32_t>(g.inDegree(u));
     if (pending[u] == 0) {
       ready[u / 64] |= std::uint64_t{1} << (u % 64);
       if (u < cursor) cursor = u;
@@ -56,7 +53,7 @@ std::optional<std::vector<NodeId>> topologicalOrder(const Digraph& g) {
     ready[w] &= ~(std::uint64_t{1} << (u % 64));
     order.push_back(u);
     cursor = u + 1;
-    for (NodeId v : csr.children(u)) {
+    for (NodeId v : g.children(u)) {
       if (--pending[v] == 0) {
         ready[v / 64] |= std::uint64_t{1} << (v % 64);
         if (v < cursor) cursor = v;
@@ -91,22 +88,27 @@ namespace {
 constexpr std::size_t kSlabColumns = 4096;
 constexpr std::uint32_t kNoColumn = 0xffffffffu;
 
-/// Marks every shortcut arc of the graph behind `csr`, indexed like
-/// csr.child_edges. Only the head of an arc out of a node with two or
-/// more children can be a shortcut's head, so only those heads get a
-/// reachability column, numbered in topological order. Each slab of up
-/// to kSlabColumns columns is one backward walk: u's row becomes the OR
-/// of its children's rows (the slab's columns reachable from u by a
-/// path of two or more arcs), an arc u -> v is a shortcut exactly when
-/// v's bit is then already set, and u's own child bits are set last.
-std::vector<char> markShortcuts(const Csr& csr,
+/// Marks every shortcut arc of `g`, indexed by arc number: u's k-th
+/// child arc is number k plus the out-degrees of the nodes below u.
+/// Only the head of an arc out of a node with two or more children can
+/// be a shortcut's head, so only those heads get a reachability column,
+/// numbered in topological order. Each slab of up to kSlabColumns
+/// columns is one backward walk: u's row becomes the OR of its
+/// children's rows (the slab's columns reachable from u by a path of two
+/// or more arcs), an arc u -> v is a shortcut exactly when v's bit is
+/// then already set, and u's own child bits are set last.
+std::vector<char> markShortcuts(const Digraph& g,
                                 std::span<const NodeId> topo_order) {
-  const std::size_t n = csr.numNodes();
-  std::vector<char> shortcut(csr.numEdges(), 0);
+  const std::size_t n = g.numNodes();
+  std::vector<char> shortcut(g.numEdges(), 0);
+  std::vector<std::size_t> first_arc(n, 0);
   std::vector<char> needs_column(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    if (csr.outDegree(u) < 2) continue;
-    for (NodeId v : csr.children(u)) needs_column[v] = 1;
+  for (std::size_t u = 0, arcs = 0; u < n; ++u) {
+    first_arc[u] = arcs;
+    const auto kids = g.children(static_cast<NodeId>(u));
+    arcs += kids.size();
+    if (kids.size() < 2) continue;
+    for (NodeId v : kids) needs_column[v] = 1;
   }
   std::vector<std::uint32_t> column(n, kNoColumn);
   std::vector<std::size_t> position_of_column;  // topological position
@@ -131,22 +133,21 @@ std::vector<char> markShortcuts(const Csr& csr,
     const std::size_t last_position = position_of_column[first + width - 1];
     for (std::size_t pos = last_position + 1; pos-- > 0;) {
       const NodeId u = topo_order[pos];
+      const auto kids = g.children(u);
       std::uint64_t* const row = rows.data() + std::size_t{u} * stride;
       std::fill_n(row, words, 0);
-      const std::uint32_t begin = csr.child_offsets[u];
-      const std::uint32_t end = csr.child_offsets[u + 1];
-      for (std::uint32_t e = begin; e != end; ++e) {
+      for (const NodeId v : kids) {
         const std::uint64_t* const child =
-            rows.data() + std::size_t{csr.child_edges[e]} * stride;
+            rows.data() + std::size_t{v} * stride;
         for (std::size_t w = 0; w < words; ++w) row[w] |= child[w];
       }
-      for (std::uint32_t e = begin; e != end; ++e) {
+      for (std::size_t k = 0; k < kids.size(); ++k) {
         // Wraps to a huge value for a head without a column or with one
         // before this slab.
-        const std::size_t c = std::size_t{column[csr.child_edges[e]]} - first;
+        const std::size_t c = std::size_t{column[kids[k]]} - first;
         if (c >= width) continue;
         const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-        if ((row[c / 64] & bit) != 0) shortcut[e] = 1;
+        if ((row[c / 64] & bit) != 0) shortcut[first_arc[u] + k] = 1;
         row[c / 64] |= bit;
       }
     }
@@ -179,38 +180,22 @@ Digraph transitiveReduction(const Digraph& g,
   const std::size_t n = g.numNodes();
   PRIO_CHECK_MSG(topo_order.size() == n,
                  "transitiveReduction: topo_order must cover every node");
-  const Csr& csr = g.csr();
-  const std::vector<char> shortcut = markShortcuts(csr, topo_order);
+  const std::vector<char> shortcut = markShortcuts(g, topo_order);
 
-  // The kept arcs go straight into the arrays fromAdjacency() adopts:
-  // children in their original order, parents in ascending id.
-  std::vector<std::uint32_t> kept_in(n, 0);
-  std::size_t kept = 0;
-  for (std::size_t e = 0; e < shortcut.size(); ++e) {
-    if (shortcut[e]) continue;
-    ++kept_in[csr.child_edges[e]];
-    ++kept;
-  }
+  // The kept arcs in ascending u, so each node's parents ascend.
   std::vector<std::string> names;
   names.reserve(n);
-  std::vector<std::vector<NodeId>> children(n);
-  std::vector<std::vector<NodeId>> parents(n);
+  std::vector<Arc> kept;
+  kept.reserve(static_cast<std::size_t>(
+      std::count(shortcut.begin(), shortcut.end(), 0)));
+  std::size_t e = 0;
   for (NodeId u = 0; u < n; ++u) {
     names.push_back(g.name(u));
-    children[u].reserve(csr.outDegree(u));
-    parents[u].reserve(kept_in[u]);
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::uint32_t e = csr.child_offsets[u]; e != csr.child_offsets[u + 1];
-         ++e) {
-      if (shortcut[e]) continue;
-      const NodeId v = csr.child_edges[e];
-      children[u].push_back(v);
-      parents[v].push_back(u);
+    for (const NodeId v : g.children(u)) {
+      if (!shortcut[e++]) kept.push_back({u, v});
     }
   }
-  return Digraph::fromAdjacency(std::move(names), std::move(children),
-                                std::move(parents), kept);
+  return Digraph(std::move(names), kept);
 }
 
 ComponentLabels weaklyConnectedComponents(const Digraph& g) {

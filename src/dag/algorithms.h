@@ -20,10 +20,10 @@ namespace prio::dag {
 /// topological order — at every step the smallest-id ready node runs next
 /// (the order the original min-heap Kahn produced; tests and fingerprints
 /// rely on it being stable). The implementation is an index-ordered
-/// pending scan over the flat CSR view instead of an O(E log V) heap:
-/// when every arc ascends in id (true for all generators here and for
-/// well-formed DAGMan files, detected in O(1) from the CSR), the order is
-/// the identity and costs O(V + E); otherwise a word-scanned ready bitmap
+/// pending scan instead of an O(E log V) heap: when every arc ascends in
+/// id (true for all generators here and for well-formed DAGMan files;
+/// Digraph::edgesAscend(), recorded at construction), the order is the
+/// identity and costs O(V); otherwise a word-scanned ready bitmap
 /// extracts minima at 64 ids per probe word — O(V + E) in practice, with
 /// an O(V^2/64) adversarial worst case far below the old heap's constant.
 [[nodiscard]] std::optional<std::vector<NodeId>> topologicalOrder(

@@ -4,33 +4,10 @@
 #include <string_view>
 #include <utility>
 
-#include "dag/digraph.h"
+#include "dag/algorithms.h"
 #include "util/check.h"
 
 namespace prio::dag {
-
-Csr Csr::build(const Digraph& g) {
-  const std::size_t n = g.numNodes();
-  Csr out;
-  out.child_offsets.resize(n + 1);
-  out.parent_offsets.resize(n + 1);
-  out.child_edges.reserve(g.numEdges());
-  out.parent_edges.reserve(g.numEdges());
-  out.child_offsets[0] = 0;
-  out.parent_offsets[0] = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : g.children(u)) {
-      out.child_edges.push_back(v);
-      if (v <= u) out.edges_ascend = false;
-    }
-    for (NodeId p : g.parents(u)) out.parent_edges.push_back(p);
-    out.child_offsets[u + 1] = static_cast<std::uint32_t>(
-        out.child_edges.size());
-    out.parent_offsets[u + 1] = static_cast<std::uint32_t>(
-        out.parent_edges.size());
-  }
-  return out;
-}
 
 namespace {
 
@@ -133,11 +110,9 @@ Digraph decodeBinaryDag(std::string_view bytes) {
     bad("name blob size mismatch");
   }
 
-  // Decode is the serving hot path (it is what phase_parse measures for
-  // binary payloads), so it deliberately avoids the incremental
-  // addNode/addEdge API: every structural check runs on the raw wire
-  // arrays and the Digraph is bulk-loaded with fromAdjacency(), which
-  // skips hash-container construction entirely.
+  // Every structural check runs on the raw wire arrays; the Digraph
+  // constructor then lays out the arcs in wire order, so each node's
+  // parents ascend.
 
   // Names: offsets strictly increasing (empty names are invalid) and
   // unique. Uniqueness is checked by sorting 64-bit name hashes and
@@ -168,8 +143,8 @@ Digraph decodeBinaryDag(std::string_view bytes) {
   // Edges: per-node slices must stay in [0, m), targets in range, no
   // self-loops, no duplicates. Duplicates are caught with an epoch
   // stamp per target (epoch = source id + 1), O(V + E) total.
-  std::vector<std::vector<NodeId>> children(static_cast<std::size_t>(n));
-  std::vector<std::uint32_t> indeg(static_cast<std::size_t>(n), 0);
+  std::vector<Arc> arcs;
+  arcs.reserve(static_cast<std::size_t>(m));
   std::vector<std::uint32_t> mark(static_cast<std::size_t>(n), 0);
   for (std::uint64_t u = 0; u < n; ++u) {
     const std::uint32_t lo = getU32(child_offsets + 4 * u);
@@ -177,8 +152,6 @@ Digraph decodeBinaryDag(std::string_view bytes) {
     if (lo > hi || hi > m) bad("non-monotone child_offsets",
                                "node " + std::to_string(u));
     const std::uint32_t epoch = static_cast<std::uint32_t>(u) + 1;
-    auto& kids = children[u];
-    kids.reserve(hi - lo);
     for (std::uint32_t i = lo; i < hi; ++i) {
       const std::uint32_t v = getU32(child_edges + 4 * i);
       if (v >= n) bad("edge target out of range", std::to_string(v));
@@ -188,42 +161,12 @@ Digraph decodeBinaryDag(std::string_view bytes) {
             std::to_string(u) + " -> " + std::to_string(v));
       }
       mark[v] = epoch;
-      ++indeg[v];
-      kids.push_back(static_cast<NodeId>(v));
+      arcs.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
     }
   }
-
-  // Transpose with exact per-node capacity (indeg was counted above).
-  std::vector<std::vector<NodeId>> parents(static_cast<std::size_t>(n));
-  for (std::uint64_t v = 0; v < n; ++v) parents[v].reserve(indeg[v]);
-  for (std::uint64_t u = 0; u < n; ++u) {
-    for (const NodeId v : children[u]) {
-      parents[v].push_back(static_cast<NodeId>(u));
-    }
-  }
-  if (!isAcyclicAdjacency(children, parents)) bad("graph has a cycle");
-
-  return Digraph::fromAdjacency(std::move(names), std::move(children),
-                                std::move(parents),
-                                static_cast<std::size_t>(m));
-}
-
-bool isAcyclicAdjacency(std::span<const std::vector<NodeId>> children,
-                        std::span<const std::vector<NodeId>> parents) {
-  const std::size_t n = children.size();
-  std::vector<std::uint32_t> deg(n);
-  std::vector<NodeId> frontier;
-  frontier.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    deg[v] = static_cast<std::uint32_t>(parents[v].size());
-    if (deg[v] == 0) frontier.push_back(static_cast<NodeId>(v));
-  }
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    for (const NodeId v : children[frontier[head]]) {
-      if (--deg[v] == 0) frontier.push_back(v);
-    }
-  }
-  return frontier.size() == n;
+  Digraph g(std::move(names), arcs);
+  if (!isAcyclic(g)) bad("graph has a cycle");
+  return g;
 }
 
 std::string encodeBinaryPriorities(std::span<const std::size_t> priorities) {

@@ -1,20 +1,5 @@
-// Flat compressed-sparse-row (CSR) view of a Digraph.
-//
-// The Digraph stores one std::vector per node for each adjacency
-// direction, which is convenient while a graph is being built but costs a
-// pointer indirection (and a likely cache miss) per visited node in the
-// traversal-heavy pipeline phases. The Csr packs both directions into one
-// contiguous edge array plus an offsets array each, so sweeping all
-// adjacencies of all nodes is a single linear scan.
-//
-// Edge order inside a node's slice is exactly the Digraph's insertion
-// order — every algorithm that iterates children(u)/parents(u) therefore
-// sees the same sequence through either view, which is what keeps the
-// CSR-based pipeline bit-identical to the vector-of-vectors one.
-//
-// A Csr is an immutable snapshot: it is built once per Digraph (lazily,
-// via Digraph::csr()) and shared by reference; mutating the Digraph
-// invalidates the cached snapshot.
+// The Digraph's CSR arrays on the wire: the BDAG binary dag payload and
+// the BPRI binary priority table it is answered with.
 #pragma once
 
 #include <cstddef>
@@ -24,49 +9,9 @@
 #include <string_view>
 #include <vector>
 
+#include "dag/digraph.h"
+
 namespace prio::dag {
-
-using NodeId = std::uint32_t;
-
-class Digraph;
-
-struct Csr {
-  /// child_offsets[u] .. child_offsets[u+1] index child_edges; same for
-  /// parents. Offsets have numNodes()+1 entries (empty graph: one zero).
-  std::vector<std::uint32_t> child_offsets;
-  std::vector<NodeId> child_edges;
-  std::vector<std::uint32_t> parent_offsets;
-  std::vector<NodeId> parent_edges;
-  /// True when every arc u -> v has u < v (node ids ascend along every
-  /// arc). All the repo's generators and well-formed DAGMan files produce
-  /// such graphs; topologicalOrder() uses this for its O(V+E) fast path.
-  bool edges_ascend = true;
-
-  [[nodiscard]] std::size_t numNodes() const noexcept {
-    return child_offsets.empty() ? 0 : child_offsets.size() - 1;
-  }
-  [[nodiscard]] std::size_t numEdges() const noexcept {
-    return child_edges.size();
-  }
-
-  [[nodiscard]] std::span<const NodeId> children(NodeId u) const noexcept {
-    return {child_edges.data() + child_offsets[u],
-            child_edges.data() + child_offsets[u + 1]};
-  }
-  [[nodiscard]] std::span<const NodeId> parents(NodeId u) const noexcept {
-    return {parent_edges.data() + parent_offsets[u],
-            parent_edges.data() + parent_offsets[u + 1]};
-  }
-  [[nodiscard]] std::size_t outDegree(NodeId u) const noexcept {
-    return child_offsets[u + 1] - child_offsets[u];
-  }
-  [[nodiscard]] std::size_t inDegree(NodeId u) const noexcept {
-    return parent_offsets[u + 1] - parent_offsets[u];
-  }
-
-  /// Builds the flat view of `g` in O(V + E).
-  [[nodiscard]] static Csr build(const Digraph& g);
-};
 
 // ---------------------------------------------------------------------
 // Binary dag wire payload ("BDAG") — the CSR arrays as a versioned,
@@ -87,8 +32,8 @@ struct Csr {
 //                                    nonempty; last entry == blob size)
 //        …  blob      name_blob      job names, concatenated
 //
-// Parent adjacency is not shipped — it is derivable, and Digraph
-// rebuilds it while inserting edges. decodeBinaryDag() validates every
+// Parent adjacency is not shipped: the Digraph constructor derives it
+// from the child arcs. decodeBinaryDag() validates every
 // structural property (exact total size, monotone offsets, in-range
 // edge targets, no self-loops or duplicate edges, unique nonempty
 // names, acyclicity) before returning, so a hostile payload costs at
@@ -106,7 +51,7 @@ inline constexpr std::uint16_t kBinaryPrioVersion = 1;
 /// Serializes `g` (node names + child adjacency, insertion order
 /// preserved) into the BDAG byte layout above. decodeBinaryDag() of the
 /// result reconstructs a Digraph with identical node ids, names, and
-/// adjacency order.
+/// children order; each node's parents come back in ascending id.
 [[nodiscard]] std::string encodeBinaryDag(const Digraph& g);
 
 /// Parses and fully validates a BDAG payload. Throws util::Error on any
@@ -114,14 +59,6 @@ inline constexpr std::uint16_t kBinaryPrioVersion = 1;
 /// non-monotone offsets, out-of-range or duplicate edges, self-loops,
 /// duplicate or empty names, cycles).
 [[nodiscard]] Digraph decodeBinaryDag(std::string_view bytes);
-
-/// Kahn's algorithm on adjacency in the form Digraph::fromAdjacency()
-/// adopts (`parents` the exact transpose of `children`): true when the
-/// arcs form no directed cycle. Bulk loaders use it to reject a cycle
-/// before a Digraph exists; O(V + E).
-[[nodiscard]] bool isAcyclicAdjacency(
-    std::span<const std::vector<NodeId>> children,
-    std::span<const std::vector<NodeId>> parents);
 
 /// Serializes a priority table (numNodes() entries, values fit u32)
 /// into the BPRI layout.

@@ -1,146 +1,79 @@
 #include "dag/digraph.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
-
-#include "dag/csr.h"
 
 namespace prio::dag {
 
-Digraph::Digraph() = default;
-Digraph::~Digraph() = default;
+namespace {
 
-Digraph::Digraph(const Digraph& other)
-    : names_(other.names_),
-      children_(other.children_),
-      parents_(other.parents_),
-      num_edges_(other.num_edges_) {
-  // The lazy members may be materializing under a concurrent const
-  // reader of `other`; snapshot them under its mutex.
-  const std::lock_guard<std::mutex> lock(other.cache_mutex_);
-  name_index_ = other.name_index_;
-  edge_set_ = other.edge_set_;
-  name_index_built_ = other.name_index_built_;
-  edge_set_built_ = other.edge_set_built_;
-  csr_cache_ = other.csr_cache_;
-}
-
-Digraph& Digraph::operator=(const Digraph& other) {
-  if (this == &other) return *this;
-  names_ = other.names_;
-  children_ = other.children_;
-  parents_ = other.parents_;
-  num_edges_ = other.num_edges_;
-  const std::lock_guard<std::mutex> lock(other.cache_mutex_);
-  name_index_ = other.name_index_;
-  edge_set_ = other.edge_set_;
-  name_index_built_ = other.name_index_built_;
-  edge_set_built_ = other.edge_set_built_;
-  csr_cache_ = other.csr_cache_;
-  return *this;
-}
-
-Digraph::Digraph(Digraph&& other) noexcept
-    : names_(std::move(other.names_)),
-      children_(std::move(other.children_)),
-      parents_(std::move(other.parents_)),
-      num_edges_(std::exchange(other.num_edges_, 0)),
-      name_index_(std::move(other.name_index_)),
-      edge_set_(std::move(other.edge_set_)),
-      name_index_built_(std::exchange(other.name_index_built_, true)),
-      edge_set_built_(std::exchange(other.edge_set_built_, true)),
-      csr_cache_(std::move(other.csr_cache_)) {}
-
-Digraph& Digraph::operator=(Digraph&& other) noexcept {
-  if (this == &other) return *this;
-  names_ = std::move(other.names_);
-  children_ = std::move(other.children_);
-  parents_ = std::move(other.parents_);
-  num_edges_ = std::exchange(other.num_edges_, 0);
-  name_index_ = std::move(other.name_index_);
-  edge_set_ = std::move(other.edge_set_);
-  name_index_built_ = std::exchange(other.name_index_built_, true);
-  edge_set_built_ = std::exchange(other.edge_set_built_, true);
-  csr_cache_ = std::move(other.csr_cache_);
-  return *this;
-}
-
-Digraph Digraph::fromAdjacency(std::vector<std::string> names,
-                               std::vector<std::vector<NodeId>> children,
-                               std::vector<std::vector<NodeId>> parents,
-                               std::size_t num_edges) {
-  PRIO_CHECK(names.size() == children.size() &&
-             names.size() == parents.size());
-  Digraph g;
-  g.names_ = std::move(names);
-  g.children_ = std::move(children);
-  g.parents_ = std::move(parents);
-  g.num_edges_ = num_edges;
-  g.name_index_built_ = false;
-  g.edge_set_built_ = false;
-  return g;
-}
-
-void Digraph::ensureNameIndex() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (name_index_built_) return;
-  name_index_.reserve(names_.size());
-  for (NodeId u = 0; u < names_.size(); ++u) name_index_.emplace(names_[u], u);
-  name_index_built_ = true;
-}
-
-void Digraph::ensureEdgeSet() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (edge_set_built_) return;
-  edge_set_.reserve(num_edges_);
-  for (NodeId u = 0; u < children_.size(); ++u) {
-    for (NodeId v : children_[u]) edge_set_.insert(edgeKey(u, v));
+/// Keeps the first copy of each id in every row of a CSR layout with
+/// `num_ids` distinct ids. A repeated arc sits twice in its parent's
+/// child row and twice in its child's parent row. seen[x] holds one more
+/// than the last row that kept x.
+void dropRepeatedArcs(std::vector<std::uint32_t>& offsets,
+                      std::vector<NodeId>& arcs, std::size_t num_ids) {
+  const std::size_t rows = offsets.size() - 1;
+  std::vector<std::uint32_t> seen(num_ids, 0);
+  std::uint32_t kept = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint32_t end = offsets[r + 1];
+    const auto stamp = static_cast<std::uint32_t>(r + 1);
+    offsets[r] = kept;
+    for (std::uint32_t e = begin; e != end; ++e) {
+      const NodeId x = arcs[e];
+      if (seen[x] == stamp) continue;
+      seen[x] = stamp;
+      arcs[kept++] = x;
+    }
+    begin = end;
   }
-  edge_set_built_ = true;
+  offsets[rows] = kept;
+  arcs.resize(kept);
 }
 
-const Csr& Digraph::csr() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (csr_cache_ == nullptr) {
-    csr_cache_ = std::make_shared<const Csr>(Csr::build(*this));
+}  // namespace
+
+Digraph::Digraph(std::vector<std::string> names, std::span<const Arc> arcs)
+    : names_(std::move(names)) {
+  const std::size_t n = names_.size();
+  PRIO_CHECK_MSG(n < 0x80000000u && arcs.size() < 0x80000000u,
+                 "graph too large: " << n << " nodes, " << arcs.size()
+                                     << " arcs");
+  if (n == 0) {
+    PRIO_CHECK(arcs.empty());
+    return;
   }
-  return *csr_cache_;
-}
-
-NodeId Digraph::addNode() {
-  return addNode("n" + std::to_string(numNodes()));
-}
-
-NodeId Digraph::addNode(std::string name) {
-  PRIO_CHECK_MSG(!name.empty(), "node name must be non-empty");
-  ensureNameIndex();  // incremental maintenance needs the built index
-  PRIO_CHECK_MSG(name_index_.find(name) == name_index_.end(),
-                 "duplicate node name: " << name);
-  const auto id = static_cast<NodeId>(numNodes());
-  name_index_.emplace(name, id);
-  names_.push_back(std::move(name));
-  children_.emplace_back();
-  parents_.emplace_back();
-  csr_cache_.reset();  // mutation requires exclusive access; no lock needed
-  return id;
-}
-
-bool Digraph::addEdge(NodeId u, NodeId v) {
-  PRIO_CHECK(u < numNodes() && v < numNodes());
-  PRIO_CHECK_MSG(u != v, "self-loop on node " << names_[u]);
-  ensureEdgeSet();  // incremental maintenance needs the built set
-  if (!edge_set_.insert(edgeKey(u, v)).second) return false;
-  children_[u].push_back(v);
-  parents_[v].push_back(u);
-  ++num_edges_;
-  csr_cache_.reset();  // mutation requires exclusive access; no lock needed
-  return true;
-}
-
-bool Digraph::hasEdge(NodeId u, NodeId v) const {
-  PRIO_CHECK(u < numNodes() && v < numNodes());
-  ensureEdgeSet();
-  return edge_set_.find(edgeKey(u, v)) != edge_set_.end();
+  // Count each row's arcs; a repeat needs a node with two children.
+  offsets_.assign(2 * n + 1, 0);
+  bool may_repeat = false;
+  for (const Arc& a : arcs) {
+    PRIO_CHECK(a.parent < n && a.child < n);
+    PRIO_CHECK_MSG(a.parent != a.child,
+                   "self-loop on node " << names_[a.parent]);
+    if (++offsets_[a.parent] == 2) may_repeat = true;
+    ++offsets_[n + a.child];
+  }
+  // offsets_[r] becomes the end of row r. Walking the arcs backwards and
+  // decrementing it leaves it at the row's start, with every row listing
+  // its arcs in insertion order.
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  arcs_.resize(2 * arcs.size());
+  for (auto it = arcs.rbegin(); it != arcs.rend(); ++it) {
+    arcs_[--offsets_[it->parent]] = it->child;
+    arcs_[--offsets_[n + it->child]] = it->parent;
+  }
+  if (may_repeat) dropRepeatedArcs(offsets_, arcs_, n);
+  for (NodeId u = 0; u < n && edges_ascend_; ++u) {
+    for (const NodeId v : row(u)) {
+      if (v < u) {
+        edges_ascend_ = false;
+        break;
+      }
+    }
+  }
 }
 
 std::vector<NodeId> Digraph::sources() const {
@@ -159,26 +92,26 @@ std::vector<NodeId> Digraph::sinks() const {
   return out;
 }
 
+bool Digraph::hasEdge(NodeId u, NodeId v) const {
+  PRIO_CHECK(u < numNodes() && v < numNodes());
+  const auto kids = children(u);
+  return std::find(kids.begin(), kids.end(), v) != kids.end();
+}
+
 std::optional<NodeId> Digraph::findNode(std::string_view name) const {
-  ensureNameIndex();
-  auto it = name_index_.find(std::string(name));
-  if (it == name_index_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::find(names_.begin(), names_.end(), name);
+  if (it == names_.end()) return std::nullopt;
+  return static_cast<NodeId>(it - names_.begin());
 }
 
 Digraph Digraph::reversed() const {
-  // As an addEdge(v, u) loop over every arc u -> v in id order would
-  // build it: u's parents are its old children in their order, v's
-  // children its old parents in ascending id.
-  const std::size_t n = numNodes();
-  std::vector<std::vector<NodeId>> children(n);
-  std::vector<std::vector<NodeId>> parents(children_.begin(), children_.end());
-  for (NodeId v = 0; v < n; ++v) children[v].reserve(parents_[v].size());
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : children_[u]) children[v].push_back(u);
+  // Arc v -> u for every arc u -> v, in id order of u.
+  std::vector<Arc> arcs;
+  arcs.reserve(numEdges());
+  for (NodeId u = 0; u < numNodes(); ++u) {
+    for (const NodeId v : row(u)) arcs.push_back({v, u});
   }
-  return fromAdjacency(names_, std::move(children), std::move(parents),
-                       num_edges_);
+  return Digraph(names_, arcs);
 }
 
 Digraph Digraph::inducedSubgraph(std::span<const NodeId> keep) const {
@@ -194,42 +127,62 @@ Digraph Digraph::inducedSubgraph(std::span<const NodeId> keep) const {
   const auto repeat = std::adjacent_find(
       local.begin(), local.end(),
       [](const auto& a, const auto& b) { return a.first == b.first; });
-  PRIO_CHECK_MSG(repeat == local.end(),
-                 "duplicate node in inducedSubgraph: " << names_[repeat->first]);
-  const auto newId = [&](NodeId old) -> std::optional<NodeId> {
-    const auto it = std::lower_bound(
-        local.begin(), local.end(), old,
-        [](const auto& entry, NodeId id) { return entry.first < id; });
-    if (it == local.end() || it->first != old) return std::nullopt;
-    return it->second;
-  };
+  PRIO_CHECK_MSG(repeat == local.end(), "duplicate node in inducedSubgraph: "
+                                            << names_[repeat->first]);
 
-  // As an addEdge loop over `keep` in order would build it: children in
-  // their original order, parents in ascending new id.
+  // The arcs between kept nodes, in `keep` order of their parent.
   std::vector<std::string> names;
   names.reserve(keep.size());
-  std::vector<std::vector<NodeId>> children(keep.size());
-  std::vector<std::vector<NodeId>> parents(keep.size());
-  std::size_t num_edges = 0;
+  std::vector<Arc> arcs;
   for (std::size_t i = 0; i < keep.size(); ++i) {
     names.push_back(names_[keep[i]]);
-    for (NodeId v : children_[keep[i]]) {
-      if (const auto j = newId(v)) {
-        children[i].push_back(*j);
-        parents[*j].push_back(static_cast<NodeId>(i));
-        ++num_edges;
+    for (const NodeId v : row(keep[i])) {
+      const auto it = std::lower_bound(
+          local.begin(), local.end(), v,
+          [](const auto& entry, NodeId id) { return entry.first < id; });
+      if (it != local.end() && it->first == v) {
+        arcs.push_back({static_cast<NodeId>(i), it->second});
       }
     }
   }
-  return fromAdjacency(std::move(names), std::move(children),
-                       std::move(parents), num_edges);
+  return Digraph(std::move(names), arcs);
 }
 
-void Digraph::reserveNodes(std::size_t n) {
-  names_.reserve(n);
-  children_.reserve(n);
-  parents_.reserve(n);
-  name_index_.reserve(n);
+NodeId DigraphBuilder::addNode() {
+  std::string name = "n";
+  name += std::to_string(numNodes());
+  return addNode(std::move(name));
 }
+
+NodeId DigraphBuilder::addNode(std::string name) {
+  PRIO_CHECK_MSG(!name.empty(), "node name must be non-empty");
+  const auto id = static_cast<NodeId>(numNodes());
+  PRIO_CHECK_MSG(index_.try_emplace(name, id).second,
+                 "duplicate node name: " << name);
+  names_.push_back(std::move(name));
+  return id;
+}
+
+bool DigraphBuilder::addEdge(NodeId u, NodeId v) {
+  PRIO_CHECK(u < numNodes() && v < numNodes());
+  PRIO_CHECK_MSG(u != v, "self-loop on node " << names_[u]);
+  const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
+  if (!arc_set_.insert(key).second) return false;
+  arcs_.push_back({u, v});
+  return true;
+}
+
+std::optional<NodeId> DigraphBuilder::findNode(std::string_view name) const {
+  const auto it = index_.find(std::string(name));
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
+void DigraphBuilder::reserveNodes(std::size_t n) {
+  names_.reserve(n);
+  index_.reserve(n);
+}
+
+Digraph DigraphBuilder::build() const { return Digraph(names_, arcs_); }
 
 }  // namespace prio::dag

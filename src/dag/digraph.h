@@ -1,21 +1,20 @@
 // The directed-graph substrate every layer of the library builds on.
 //
-// A Digraph stores jobs (nodes) with stable integer ids and string names
-// (DAGMan job names), plus parent/child adjacency in both directions.
-// Acyclicity is not enforced on every edge insertion — DAGMan input files
-// are validated once after parsing via topologicalOrder() — but all
+// A Digraph is an immutable value: jobs (nodes) with dense integer ids
+// and string names (DAGMan job names), plus parent/child adjacency in
+// both directions, laid out once as flat compressed-sparse-row arrays
+// (DESIGN.md §9, "Flat CSR graph core"). Acyclicity is not enforced at
+// construction — DAGMan input is validated once after parsing — but all
 // scheduling entry points require a dag and check this precondition.
+// Graphs built a node and an arc at a time go through DigraphBuilder.
 //
-// Thread safety: const methods are safe to call concurrently from any
-// number of threads (lazily materialized state — the CSR snapshot, the
-// name index, the edge set — is guarded by an internal mutex); mutation
-// requires exclusive access. The priod service relies on this to share
-// one Digraph between its workers.
+// Thread safety: a Digraph has no mutable or lazily built state, so its
+// const methods are safe from any number of threads without a lock, and
+// copies are plain member-wise copies. The priod service relies on this
+// to share one Digraph between its workers.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -30,59 +29,39 @@ namespace prio::dag {
 
 using NodeId = std::uint32_t;
 
-struct Csr;
+/// One arc parent -> child.
+struct Arc {
+  NodeId parent = 0;
+  NodeId child = 0;
+  friend bool operator==(const Arc&, const Arc&) = default;
+};
 
 /// A directed graph over named nodes with dense ids [0, numNodes()).
 class Digraph {
  public:
-  Digraph();
-  ~Digraph();
-  // Copies share the (immutable) cached CSR snapshot; moves steal it. The
-  // special members are user-provided only because the cache is guarded
-  // by a mutex, which is neither copyable nor movable.
-  Digraph(const Digraph& other);
-  Digraph& operator=(const Digraph& other);
-  Digraph(Digraph&& other) noexcept;
-  Digraph& operator=(Digraph&& other) noexcept;
+  /// The empty graph; allocates nothing.
+  Digraph() = default;
 
-  /// Adopts pre-validated adjacency built in bulk (the DAGMan and
-  /// binary decoders, transitiveReduction(), reversed() and
-  /// inducedSubgraph()): `children[u]` lists u's children, `parents`
-  /// must be its exact transpose, `num_edges` the total arc count, and
-  /// `names` must be unique and non-empty. Preconditions are the
-  /// caller's contract — they are not re-checked here. The name index
-  /// and the edge set are NOT built eagerly; they materialize on the
-  /// first findNode() / hasEdge() / addNode() / addEdge() call, so a
-  /// bulk build costs O(V+E) with no hash-container construction on the
-  /// serving hot path (which never touches either).
-  [[nodiscard]] static Digraph fromAdjacency(
-      std::vector<std::string> names,
-      std::vector<std::vector<NodeId>> children,
-      std::vector<std::vector<NodeId>> parents, std::size_t num_edges);
+  /// The graph whose node i is named names[i], with `arcs` added in
+  /// order: children(u) and parents(v) list arcs in that order, and a
+  /// repeated arc is kept once, at its first position. Throws
+  /// util::Error on an out-of-range id or a self-loop (the first in
+  /// `arcs`). Names must be unique and non-empty; that is the caller's
+  /// contract and is not re-checked here. O(V + E).
+  Digraph(std::vector<std::string> names, std::span<const Arc> arcs);
 
-  /// Adds a node with an autogenerated name ("n<id>"). Returns its id.
-  NodeId addNode();
-
-  /// Adds a node with the given name. Names must be unique; throws
-  /// util::Error on duplicates. Returns the new node's id.
-  NodeId addNode(std::string name);
-
-  /// Adds the arc u -> v. Self-loops are rejected. Returns false (and
-  /// leaves the graph unchanged) when the arc already exists.
-  bool addEdge(NodeId u, NodeId v);
-
-  [[nodiscard]] std::size_t numNodes() const noexcept {
-    return children_.size();
+  [[nodiscard]] std::size_t numNodes() const noexcept { return names_.size(); }
+  [[nodiscard]] std::size_t numEdges() const noexcept {
+    return arcs_.size() / 2;
   }
-  [[nodiscard]] std::size_t numEdges() const noexcept { return num_edges_; }
 
   [[nodiscard]] std::span<const NodeId> children(NodeId u) const {
     PRIO_CHECK(u < numNodes());
-    return children_[u];
+    return row(u);
   }
   [[nodiscard]] std::span<const NodeId> parents(NodeId u) const {
     PRIO_CHECK(u < numNodes());
-    return parents_[u];
+    return row(numNodes() + u);
   }
 
   [[nodiscard]] std::size_t outDegree(NodeId u) const {
@@ -100,6 +79,12 @@ class Digraph {
   /// All nodes with out-degree 0, in id order.
   [[nodiscard]] std::vector<NodeId> sinks() const;
 
+  /// True when every arc u -> v has u < v. All the repo's generators and
+  /// well-formed DAGMan files produce such graphs; topologicalOrder()
+  /// uses it for its O(V) identity fast path.
+  [[nodiscard]] bool edgesAscend() const noexcept { return edges_ascend_; }
+
+  /// Whether the arc u -> v exists: a scan of u's children.
   [[nodiscard]] bool hasEdge(NodeId u, NodeId v) const;
 
   [[nodiscard]] const std::string& name(NodeId u) const {
@@ -107,57 +92,68 @@ class Digraph {
     return names_[u];
   }
 
-  /// Id of the node with the given name, if any.
+  /// Id of the node with the given name, if any: a scan of the names.
   [[nodiscard]] std::optional<NodeId> findNode(std::string_view name) const;
 
-  /// The graph with every arc reversed (names preserved). Built in bulk,
-  /// with no name index or edge set: u's parents are its children in
-  /// their order, and its children are its parents in ascending id.
+  /// The graph with every arc reversed (names preserved): u's parents
+  /// are its children in their order, and its children are its parents
+  /// in ascending id.
   [[nodiscard]] Digraph reversed() const;
 
   /// Subgraph induced on `keep` (ids are renumbered densely in the order
-  /// given; names preserved). `keep` must not contain duplicates. Built
-  /// in bulk: children keep their order, parents ascend in new id.
+  /// given; names preserved). `keep` must not contain duplicates.
+  /// Children keep their order; parents ascend in new id.
   [[nodiscard]] Digraph inducedSubgraph(std::span<const NodeId> keep) const;
+
+ private:
+  /// Row r of the adjacency: rows [0, n) hold each node's children,
+  /// rows [n, 2n) each node's parents.
+  [[nodiscard]] std::span<const NodeId> row(std::size_t r) const noexcept {
+    return {arcs_.data() + offsets_[r], arcs_.data() + offsets_[r + 1]};
+  }
+
+  std::vector<std::string> names_;
+  /// Row r is arcs_[offsets_[r], offsets_[r + 1]); 2n + 1 entries, or
+  /// none while the graph has no nodes.
+  std::vector<std::uint32_t> offsets_;
+  /// Every arc twice: once in its parent's child row, once in its
+  /// child's parent row.
+  std::vector<NodeId> arcs_;
+  bool edges_ascend_ = true;
+};
+
+/// Builds a Digraph a node and an arc at a time (generators, tests,
+/// theory constructions). Keeps a name index and an arc set so that
+/// duplicate names and repeated arcs are caught as they are added.
+class DigraphBuilder {
+ public:
+  /// Adds a node named "n<id>". Returns its id.
+  NodeId addNode();
+
+  /// Adds a node with the given name. Names must be unique and
+  /// non-empty; throws util::Error otherwise. Returns the new node's id.
+  NodeId addNode(std::string name);
+
+  /// Adds the arc u -> v. Throws util::Error on a bad id or a self-loop.
+  /// Returns false (and changes nothing) when the arc already exists.
+  bool addEdge(NodeId u, NodeId v);
+
+  /// Id of the node with the given name, if any.
+  [[nodiscard]] std::optional<NodeId> findNode(std::string_view name) const;
+
+  [[nodiscard]] std::size_t numNodes() const noexcept { return names_.size(); }
 
   /// Reserves storage for the expected number of nodes.
   void reserveNodes(std::size_t n);
 
-  /// Flat CSR snapshot of the adjacency (see dag/csr.h), built lazily on
-  /// first call and cached. Safe to call concurrently from any number of
-  /// threads. The returned reference stays valid until the next mutation
-  /// (addNode/addEdge), which invalidates the snapshot — callers must not
-  /// hold it across mutations (mutation requires exclusive access anyway).
-  [[nodiscard]] const Csr& csr() const;
+  /// The graph built so far, arcs in the order they were added.
+  [[nodiscard]] Digraph build() const;
 
  private:
-  static std::uint64_t edgeKey(NodeId u, NodeId v) noexcept {
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
-
-  /// Build the deferred name index / edge set (no-ops once built). Safe
-  /// from const methods under concurrent readers; mutators call them
-  /// first so incremental maintenance always starts from a built state.
-  void ensureNameIndex() const;
-  void ensureEdgeSet() const;
-
   std::vector<std::string> names_;
-  std::vector<std::vector<NodeId>> children_;
-  std::vector<std::vector<NodeId>> parents_;
-  std::size_t num_edges_ = 0;
-
-  // Deferred lookup structures: fromAdjacency() skips building them so
-  // bulk loads stay O(V+E); they are filled in on first use under
-  // cache_mutex_. Incrementally-built graphs keep them current from the
-  // start (built flags begin true).
-  mutable std::unordered_map<std::string, NodeId> name_index_;
-  mutable std::unordered_set<std::uint64_t> edge_set_;
-  mutable bool name_index_built_ = true;
-  mutable bool edge_set_built_ = true;
-
-  mutable std::mutex cache_mutex_;
-  /// Guarded by cache_mutex_ (as are the deferred builds above).
-  mutable std::shared_ptr<const Csr> csr_cache_;
+  std::vector<Arc> arcs_;
+  std::unordered_map<std::string, NodeId> index_;
+  std::unordered_set<std::uint64_t> arc_set_;
 };
 
 }  // namespace prio::dag

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <system_error>
 
-#include "dag/csr.h"
+#include "dag/algorithms.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 
@@ -122,58 +122,14 @@ struct PendingVar {
   std::string value;
 };
 
-/// The Digraph over `names` with `arcs` (node ids) added in order, as
-/// an addNode/addEdge loop would build it: the first self-loop throws,
-/// a repeated arc keeps its first position, and children[u] and
-/// parents[v] list arcs in declaration order. Built straight into the
-/// arrays Digraph::fromAdjacency() adopts.
+/// The Digraph over `names` with `arcs` in declaration order: the first
+/// self-loop throws, then a directed cycle does.
 dag::Digraph buildDigraph(std::vector<std::string> names,
-                          const std::vector<Dependency>& arcs) {
-  const std::size_t n = names.size();
-  std::vector<std::uint32_t> out_deg(n, 0);
-  std::vector<std::uint32_t> in_deg(n, 0);
-  for (const Dependency& a : arcs) {
-    PRIO_CHECK_MSG(a.parent != a.child,
-                   "self-loop on node " << names[a.parent]);
-    ++out_deg[a.parent];
-    ++in_deg[a.child];
-  }
-  std::vector<std::vector<dag::NodeId>> children(n);
-  std::vector<std::vector<dag::NodeId>> parents(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    children[u].reserve(out_deg[u]);
-    parents[u].reserve(in_deg[u]);
-  }
-  for (const Dependency& a : arcs) {
-    children[a.parent].push_back(a.child);
-    parents[a.child].push_back(a.parent);
-  }
-  // A list that holds an arc twice holds its first occurrence first, so
-  // keeping the first copy of each id keeps declaration order.
-  std::vector<std::size_t> seen(n, 0);
-  std::size_t stamp = 0;
-  std::size_t num_edges = 0;
-  const auto dropRepeats = [&](std::vector<dag::NodeId>& list) {
-    if (list.size() < 2) return;
-    ++stamp;
-    std::size_t kept = 0;
-    for (const dag::NodeId v : list) {
-      if (seen[v] != stamp) {
-        seen[v] = stamp;
-        list[kept++] = v;
-      }
-    }
-    list.resize(kept);
-  };
-  for (auto& list : children) {
-    dropRepeats(list);
-    num_edges += list.size();
-  }
-  for (auto& list : parents) dropRepeats(list);
-  PRIO_CHECK_MSG(dag::isAcyclicAdjacency(children, parents),
+                          std::span<const Dependency> arcs) {
+  dag::Digraph g(std::move(names), arcs);
+  PRIO_CHECK_MSG(dag::isAcyclic(g),
                  "DAGMan dependencies contain a directed cycle");
-  return dag::Digraph::fromAdjacency(std::move(names), std::move(children),
-                                     std::move(parents), num_edges);
+  return g;
 }
 
 /// Appends a VARS value with '"' and '\' backslash-escaped, which the
@@ -306,6 +262,10 @@ DagmanFile DagmanFile::parse(std::string_view text) {
   std::size_t num_arcs = 0;
   for (const ArcLine& l : arc_lines) {
     num_arcs += (l.split - l.begin) * (l.end - l.split);
+    PRIO_CHECK_MSG(num_arcs <= kMaxDependencies,
+                   "line " << l.line_no
+                           << ": PARENT/CHILD lines expand to more than "
+                           << kMaxDependencies << " dependencies");
   }
   out.dependencies_.reserve(num_arcs);
   for (const ArcLine& l : arc_lines) {

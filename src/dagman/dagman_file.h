@@ -5,14 +5,17 @@
 // per-job macros ("VARS <job> key=\"value\""). The prio tool parses such
 // a file, extracts the dag, runs the scheduling heuristic, and writes the
 // file back with a `jobpriority` macro defined for every job (Fig. 3).
-// Other JOB options are dropped; unrecognized directives (RETRY, SCRIPT,
-// CONFIG, ...) are preserved verbatim.
+// DIR, NOOP and DONE are kept: DIR is the directory a job's submit file
+// and working directory resolve under, a NOOP job is neither
+// instrumented nor run, and DONE marks a finished job. Any other JOB
+// option is dropped; unrecognized directives (RETRY, SCRIPT, CONFIG,
+// ...) are preserved verbatim.
 //
 // Parsing is one pass over the text (DESIGN.md §9, "Single-pass DAGMan
 // scanner"): lines are split in place, each job name is interned once in
 // a table local to the parse, and PARENT/CHILD arcs are kept as pairs of
-// job indices. toDigraph() fills the adjacency arrays that
-// Digraph::fromAdjacency() adopts, with no name lookups. render() writes
+// job indices. toDigraph() hands those arcs to the Digraph constructor,
+// with no name lookups. render() writes
 // the canonical form into one string: Job lines, then Vars lines, then
 // one PARENT line per arc, then the preserved extras; comments are
 // dropped and keywords normalised.
@@ -52,20 +55,24 @@ struct DagmanJob {
   void setVar(std::string_view key, std::string value);
 };
 
-/// One PARENT -> CHILD arc, as indices into DagmanFile::jobs().
-struct Dependency {
-  std::uint32_t parent = 0;
-  std::uint32_t child = 0;
-  friend bool operator==(const Dependency&, const Dependency&) = default;
-};
+/// One PARENT -> CHILD arc, as indices into DagmanFile::jobs(). The
+/// same type as a graph arc, so toDigraph() hands the list over as is.
+using Dependency = dag::Arc;
+
+/// The most dependencies one DAGMan text may expand to: about the most
+/// arcs a 64 MiB BDAG frame (net::kMaxPayload) carries at 4 bytes each.
+/// A PARENT line with k parents and m children counts k × m.
+inline constexpr std::size_t kMaxDependencies = std::size_t{1} << 24;
 
 /// A parsed DAGMan input file.
 class DagmanFile {
  public:
   /// Parses DAGMan text. Throws util::Error, naming the line, in this
   /// precedence: a malformed line or a duplicate JOB (the first in the
-  /// text); a PARENT/CHILD naming an unknown job (in dependency order);
-  /// a VARS for an unknown job. Jobs may be named before their JOB line.
+  /// text); the PARENT/CHILD line where the running dependency count
+  /// first exceeds kMaxDependencies, before any line is expanded; a
+  /// PARENT/CHILD naming an unknown job (in dependency order); a VARS
+  /// for an unknown job. Jobs may be named before their JOB line.
   static DagmanFile parse(std::string_view text);
   /// Reads the rest of `in` in bulk, then parses it as above.
   static DagmanFile parse(std::istream& in);

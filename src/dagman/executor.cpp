@@ -9,7 +9,9 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "dag/algorithms.h"
@@ -195,9 +197,12 @@ ExecutionReport executeDagmanFile(const DagmanFile& file,
   const dag::Digraph g = file.toDigraph();
   Executor exec(g, options);
 
+  std::unordered_map<std::string_view, NodeId> node_of;
+  node_of.reserve(file.jobs().size());
   std::vector<std::size_t> priorities(g.numNodes(), 0);
   for (std::size_t i = 0; i < file.jobs().size(); ++i) {
     const DagmanJob& job = file.jobs()[i];
+    node_of.emplace(job.name, static_cast<NodeId>(i));
     if (const auto p = job.var("jobpriority")) {
       priorities[i] = static_cast<std::size_t>(
           std::strtoull(p->c_str(), nullptr, 10));
@@ -217,49 +222,51 @@ ExecutionReport executeDagmanFile(const DagmanFile& file,
     if (!(is >> keyword)) continue;
     std::transform(keyword.begin(), keyword.end(), keyword.begin(),
                    [](unsigned char c) { return std::toupper(c); });
+    if (keyword != "RETRY" && keyword != "PRIORITY") continue;
+    if (!(is >> job_name >> count)) continue;
+    const auto it = node_of.find(job_name);
+    if (it == node_of.end()) continue;
     if (keyword == "RETRY") {
-      if (is >> job_name >> count) {
-        if (const auto id = g.findNode(job_name)) {
-          exec.setRetries(*id, count);
-        }
-      }
-    } else if (keyword == "PRIORITY") {
-      if (is >> job_name >> count) {
-        if (const auto id = g.findNode(job_name)) {
-          if (!file.jobs()[*id].var("jobpriority").has_value()) {
-            priorities[*id] = count;
-            priorities_changed = true;
-          }
-        }
-      }
+      exec.setRetries(it->second, count);
+    } else if (!file.jobs()[it->second].var("jobpriority").has_value()) {
+      priorities[it->second] = count;
+      priorities_changed = true;
     }
   }
   if (priorities_changed) exec.setPriorities(priorities);
-  return exec.run(action);
+  // A NOOP job completes without running anything.
+  return exec.run([&](const std::string& job_name) {
+    return file.jobs()[node_of.at(job_name)].noop || action(job_name);
+  });
 }
 
 JobAction shellAction(const DagmanFile& file, const std::string& directory) {
   namespace fs = std::filesystem;
-  // Resolve every job's command line up front (parsing JSDFs once).
+  // Resolve every job's shell line up front (parsing JSDFs once): the
+  // submit file and the working directory both sit under DIR.
   auto commands = std::make_shared<std::map<std::string, std::string>>();
   for (const DagmanJob& job : file.jobs()) {
-    const fs::path path = fs::path(directory) / job.submit_file;
+    if (job.noop) continue;
+    const fs::path workdir = fs::path(directory) / job.dir;
+    const fs::path path = workdir / job.submit_file;
     if (!fs::exists(path)) continue;  // missing JSDF -> job will fail
     const Jsdf jsdf = Jsdf::parseFile(path.string());
     const auto exe = jsdf.command("executable");
     if (!exe.has_value()) continue;
-    std::string cmd = *exe;
+    std::string line = "cd '";
+    line += workdir.string();
+    line += "' && ";
+    line += *exe;
     if (const auto args = jsdf.command("arguments")) {
-      cmd += ' ' + *args;
+      line += ' ';
+      line += *args;
     }
-    commands->emplace(job.name, std::move(cmd));
+    commands->emplace(job.name, std::move(line));
   }
-  const std::string dir = directory;
-  return [commands, dir](const std::string& job_name) {
+  return [commands](const std::string& job_name) {
     const auto it = commands->find(job_name);
     if (it == commands->end()) return false;
-    const std::string line = "cd '" + dir + "' && " + it->second;
-    return std::system(line.c_str()) == 0;
+    return std::system(it->second.c_str()) == 0;
   };
 }
 

@@ -93,7 +93,7 @@ class Executor {
 /// Convenience pipeline mirroring condor_submit_dag: takes a (possibly
 /// prio-instrumented) DAGMan file, reads each job's `jobpriority` macro
 /// (defaulting to 0), honors DONE flags and RETRY extra lines, and runs
-/// the workflow.
+/// the workflow. A NOOP job completes without `action` being called.
 [[nodiscard]] ExecutionReport executeDagmanFile(const DagmanFile& file,
                                                 const JobAction& action,
                                                 ExecutorOptions options = {});
@@ -105,10 +105,13 @@ class Executor {
                                        const ExecutionReport& report);
 
 /// A JobAction that really runs each job's submit description: it reads
-/// `<directory>/<submit_file>`, extracts the `executable` (and optional
+/// `<directory>/<dir>/<submit_file>` (`dir` being the job's DIR option,
+/// empty when absent), extracts the `executable` (and optional
 /// `arguments`) commands, and executes them with /bin/sh -c from
-/// `directory`. A job succeeds when the process exits 0. Missing submit
-/// files or executables count as failures.
+/// `<directory>/<dir>`. A job succeeds when the process exits 0. Missing
+/// submit files or executables count as failures. NOOP jobs get no
+/// command: executeDagmanFile() completes them without calling the
+/// action.
 [[nodiscard]] JobAction shellAction(const DagmanFile& file,
                                     const std::string& directory);
 

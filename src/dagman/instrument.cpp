@@ -41,7 +41,11 @@ std::vector<std::string> instrumentSubmitFiles(const DagmanFile& file,
                                                const std::string& directory) {
   namespace fs = std::filesystem;
   std::set<std::string> distinct;
-  for (const DagmanJob& job : file.jobs()) distinct.insert(job.submit_file);
+  for (const DagmanJob& job : file.jobs()) {
+    if (!job.noop) {
+      distinct.insert((fs::path(job.dir) / job.submit_file).string());
+    }
+  }
 
   std::vector<std::string> rewritten;
   for (const std::string& name : distinct) {

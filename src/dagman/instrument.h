@@ -44,9 +44,12 @@ core::PrioResult prioritizeDagmanFile(DagmanFile& file,
                                       const core::PrioOptions& options = {});
 
 /// Instruments every distinct submit file referenced by `file`, reading
-/// and rewriting them relative to `directory`. Missing JSDFs are skipped
-/// (the paper, likewise, instrumented only the DAGMan inputs when JSDFs
-/// were unavailable); returns the names of the files rewritten.
+/// and rewriting `<directory>/<dir>/<submit_file>` (`dir` being the
+/// job's DIR option, empty when absent). A NOOP job's submit file is not
+/// instrumented on its account; one a real job shares still is. Missing
+/// JSDFs are skipped (the paper, likewise, instrumented only the DAGMan
+/// inputs when JSDFs were unavailable); returns the files rewritten,
+/// relative to `directory`.
 std::vector<std::string> instrumentSubmitFiles(const DagmanFile& file,
                                                const std::string& directory);
 

@@ -9,12 +9,18 @@
 //
 // Stability contract (DESIGN.md §10): everything re-exported here is the
 // public surface. PRIO_API_VERSION bumps when that surface changes
-// incompatibly. A replaced entry point may stay one version as a
-// deprecated shim with bit-identical behavior; it is removed at the next
-// bump. No shim is live at version 4.
+// incompatibly, and the change lands whole: callers migrate at the bump,
+// with no deprecated shim left behind. (Version 2 kept shims until 3;
+// versions 3, 4 and 5 keep none.)
 #pragma once
 
 /// Public API version.
+///   5 = version 4 with one graph representation: dag::Digraph is an
+///       immutable CSR value built by one constructor (node names plus
+///       arcs); incremental addNode()/addEdge()/reserveNodes() moved to
+///       dag::DigraphBuilder. The separate CSR snapshot type and its
+///       cache, the bulk adjacency loader and its acyclicity check, and
+///       PrioOptions::defer_component_graphs are gone.
 ///   4 = version 3 with one shortcut-removal algorithm: no
 ///       dag::ReductionMethod, PrioOptions::reduction_method or method
 ///       parameter of transitiveReduction() and structuralFingerprint(),
@@ -27,7 +33,7 @@
 ///   2 = the PrioRequest/PrioOptions aggregate API plus the obs
 ///       observability layer (metrics registry + structured tracing).
 ///   1 = the original loose-overload surface.
-#define PRIO_API_VERSION 4
+#define PRIO_API_VERSION 5
 
 // Substrates.
 #include "dag/algorithms.h"   // IWYU pragma: export

@@ -17,6 +17,14 @@ namespace {
 using dag::Digraph;
 using dag::NodeId;
 
+/// `stem` followed by the decimal index, built by appending (GCC 12
+/// misreports `"s" + std::to_string(i)` under -Wrestrict).
+std::string nodeName(const char* stem, std::size_t i) {
+  std::string name = stem;
+  name += std::to_string(i);
+  return name;
+}
+
 /// Appends the component's sinks to a non-sink order, sorted by the step
 /// at which they become eligible (position of their latest parent in the
 /// order), ties by id — a natural "completion order".
@@ -481,10 +489,10 @@ std::vector<dag::NodeId> greedyBipartiteSchedule(const dag::Digraph& h) {
 dag::Digraph makeW(std::size_t a, std::size_t b) {
   PRIO_CHECK_MSG(a >= 1 && b >= 1, "W(a,b) requires a,b >= 1");
   PRIO_CHECK_MSG(a == 1 || b >= 2, "W(a,b) with a > 1 requires b >= 2");
-  dag::Digraph g;
+  dag::DigraphBuilder g;
   std::vector<NodeId> sources;
   for (std::size_t i = 0; i < a; ++i) {
-    sources.push_back(g.addNode("s" + std::to_string(i)));
+    sources.push_back(g.addNode(nodeName("s", i)));
   }
   std::size_t sink_counter = 0;
   NodeId last_sink = 0;
@@ -492,11 +500,11 @@ dag::Digraph makeW(std::size_t a, std::size_t b) {
     if (i > 0) g.addEdge(sources[i], last_sink);  // shared with previous
     const std::size_t fresh = (i == 0) ? b : b - 1;
     for (std::size_t j = 0; j < fresh; ++j) {
-      last_sink = g.addNode("t" + std::to_string(sink_counter++));
+      last_sink = g.addNode(nodeName("t", sink_counter++));
       g.addEdge(sources[i], last_sink);
     }
   }
-  return g;
+  return g.build();
 }
 
 dag::Digraph makeM(std::size_t a, std::size_t b) {
@@ -505,70 +513,72 @@ dag::Digraph makeM(std::size_t a, std::size_t b) {
 
 dag::Digraph makeN(std::size_t d) {
   PRIO_CHECK_MSG(d >= 2, "N(d) requires d >= 2");
-  dag::Digraph g;
+  dag::DigraphBuilder g;
   std::vector<NodeId> u, v;
   for (std::size_t i = 0; i < d; ++i) {
-    u.push_back(g.addNode("u" + std::to_string(i)));
+    u.push_back(g.addNode(nodeName("u", i)));
   }
   for (std::size_t i = 0; i < d; ++i) {
-    v.push_back(g.addNode("v" + std::to_string(i)));
+    v.push_back(g.addNode(nodeName("v", i)));
   }
   for (std::size_t i = 0; i < d; ++i) {
     g.addEdge(u[i], v[i]);
     if (i + 1 < d) g.addEdge(u[i + 1], v[i]);
   }
-  return g;
+  return g.build();
 }
 
 dag::Digraph makeCycleDag(std::size_t d) {
   PRIO_CHECK_MSG(d >= 2, "Cycle(d) requires d >= 2");
-  dag::Digraph g;
+  dag::DigraphBuilder g;
   std::vector<NodeId> u, v;
   for (std::size_t i = 0; i < d; ++i) {
-    u.push_back(g.addNode("u" + std::to_string(i)));
+    u.push_back(g.addNode(nodeName("u", i)));
   }
   for (std::size_t i = 0; i < d; ++i) {
-    v.push_back(g.addNode("v" + std::to_string(i)));
+    v.push_back(g.addNode(nodeName("v", i)));
   }
   for (std::size_t i = 0; i < d; ++i) {
     g.addEdge(u[i], v[i]);
     g.addEdge(u[i], v[(i + d - 1) % d]);
   }
-  return g;
+  return g.build();
 }
 
 dag::Digraph makeCompleteBipartite(std::size_t a, std::size_t b) {
   PRIO_CHECK_MSG(a >= 1 && b >= 1, "K(a,b) requires a,b >= 1");
-  dag::Digraph g;
+  dag::DigraphBuilder g;
   std::vector<NodeId> u, v;
   for (std::size_t i = 0; i < a; ++i) {
-    u.push_back(g.addNode("s" + std::to_string(i)));
+    u.push_back(g.addNode(nodeName("s", i)));
   }
   for (std::size_t j = 0; j < b; ++j) {
-    v.push_back(g.addNode("t" + std::to_string(j)));
+    v.push_back(g.addNode(nodeName("t", j)));
   }
   for (NodeId s : u) {
     for (NodeId t : v) g.addEdge(s, t);
   }
-  return g;
+  return g.build();
 }
 
 dag::Digraph makeCliqueDag(std::size_t q) {
   PRIO_CHECK_MSG(q >= 2, "Clique(q) requires q >= 2");
-  dag::Digraph g;
+  dag::DigraphBuilder g;
   std::vector<NodeId> u;
   for (std::size_t i = 0; i < q; ++i) {
-    u.push_back(g.addNode("u" + std::to_string(i)));
+    u.push_back(g.addNode(nodeName("u", i)));
   }
   for (std::size_t i = 0; i < q; ++i) {
     for (std::size_t j = i + 1; j < q; ++j) {
-      const NodeId t =
-          g.addNode("t" + std::to_string(i) + "_" + std::to_string(j));
+      std::string name = nodeName("t", i);
+      name += '_';
+      name += std::to_string(j);
+      const NodeId t = g.addNode(std::move(name));
       g.addEdge(u[i], t);
       g.addEdge(u[j], t);
     }
   }
-  return g;
+  return g.build();
 }
 
 }  // namespace prio::theory

@@ -30,7 +30,7 @@ dag::Digraph composeDags(const dag::Digraph& a,
                    "duplicate source in identification");
   }
 
-  Digraph out;
+  dag::DigraphBuilder out;
   out.reserveNodes(a.numNodes() + b.numNodes() - a_sinks.size());
   // All of a, names preserved (ids coincide).
   for (NodeId u = 0; u < a.numNodes(); ++u) out.addNode(a.name(u));
@@ -54,7 +54,7 @@ dag::Digraph composeDags(const dag::Digraph& a,
       out.addEdge(b_map.at(u), b_map.at(v));
     }
   }
-  return out;
+  return out.build();
 }
 
 dag::Digraph chainCompose(const std::vector<dag::Digraph>& blocks) {

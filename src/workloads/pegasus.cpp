@@ -8,7 +8,7 @@
 namespace prio::workloads {
 
 namespace {
-using dag::Digraph;
+using dag::DigraphBuilder;
 using dag::NodeId;
 
 std::string idx2(const std::string& stem, std::size_t i, std::size_t j) {
@@ -23,7 +23,7 @@ std::size_t cybershakeJobCount(const CybershakeParams& p) {
 dag::Digraph makeCybershake(const CybershakeParams& p) {
   PRIO_CHECK_MSG(p.sites >= 1 && p.synthesis_per_site >= 1,
                  "CyberShake needs >= 1 site and >= 1 synthesis job");
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(cybershakeJobCount(p));
   const NodeId merge = g.addNode("global_merge");
   for (std::size_t s = 0; s < p.sites; ++s) {
@@ -43,7 +43,7 @@ dag::Digraph makeCybershake(const CybershakeParams& p) {
     g.addEdge(zip, merge);
   }
   PRIO_CHECK(g.numNodes() == cybershakeJobCount(p));
-  return g;
+  return g.build();
 }
 
 std::size_t epigenomicsJobCount(const EpigenomicsParams& p) {
@@ -53,7 +53,7 @@ std::size_t epigenomicsJobCount(const EpigenomicsParams& p) {
 dag::Digraph makeEpigenomics(const EpigenomicsParams& p) {
   PRIO_CHECK_MSG(p.lanes >= 1 && p.splits_per_lane >= 1,
                  "Epigenomics needs >= 1 lane and >= 1 split");
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(epigenomicsJobCount(p));
   const NodeId map_merge = g.addNode("map_merge");
   for (std::size_t lane = 0; lane < p.lanes; ++lane) {
@@ -76,7 +76,7 @@ dag::Digraph makeEpigenomics(const EpigenomicsParams& p) {
   g.addEdge(map_merge, index);
   g.addEdge(index, pileup);
   PRIO_CHECK(g.numNodes() == epigenomicsJobCount(p));
-  return g;
+  return g.build();
 }
 
 }  // namespace prio::workloads

@@ -7,12 +7,12 @@
 
 namespace prio::workloads {
 
-using dag::Digraph;
+using dag::DigraphBuilder;
 using dag::NodeId;
 
 dag::Digraph randomDag(std::size_t n, double edge_prob, stats::Rng& rng) {
   PRIO_CHECK(edge_prob >= 0.0 && edge_prob <= 1.0);
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(n);
   for (std::size_t i = 0; i < n; ++i) g.addNode();
   for (NodeId i = 0; i < n; ++i) {
@@ -20,13 +20,13 @@ dag::Digraph randomDag(std::size_t n, double edge_prob, stats::Rng& rng) {
       if (rng.uniform01() < edge_prob) g.addEdge(i, j);
     }
   }
-  return g;
+  return g.build();
 }
 
 dag::Digraph layeredRandom(std::size_t layers, std::size_t width,
                            double edge_prob, stats::Rng& rng) {
   PRIO_CHECK(layers >= 1 && width >= 1);
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(layers * width);
   std::vector<std::vector<NodeId>> layer(layers);
   for (std::size_t k = 0; k < layers; ++k) {
@@ -44,11 +44,11 @@ dag::Digraph layeredRandom(std::size_t layers, std::size_t width,
       }
     }
   }
-  return g;
+  return g.build();
 }
 
 dag::Digraph randomComposable(std::size_t steps, stats::Rng& rng) {
-  Digraph g;
+  DigraphBuilder g;
   // Seed: a W(a,b) fan structure.
   const std::size_t a = 1 + rng.below(3);
   const std::size_t b = 2 + rng.below(3);
@@ -99,7 +99,7 @@ dag::Digraph randomComposable(std::size_t steps, stats::Rng& rng) {
       frontier[at] = v;
     }
   }
-  return g;
+  return g.build();
 }
 
 }  // namespace prio::workloads

@@ -8,7 +8,7 @@
 namespace prio::workloads {
 
 namespace {
-using dag::Digraph;
+using dag::DigraphBuilder;
 using dag::NodeId;
 
 std::string idx(const std::string& stem, std::size_t i) {
@@ -27,7 +27,7 @@ std::size_t airsnJobCount(const AirsnParams& p) {
 dag::Digraph makeAirsn(const AirsnParams& p) {
   PRIO_CHECK_MSG(p.width >= 1 && p.handle_length >= 1,
                  "AIRSN needs width >= 1 and handle_length >= 1");
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(airsnJobCount(p));
 
   // The handle: a chain of preprocessing jobs.
@@ -62,7 +62,7 @@ dag::Digraph makeAirsn(const AirsnParams& p) {
   for (NodeId u : fork2) g.addEdge(u, join2);
 
   PRIO_CHECK(g.numNodes() == airsnJobCount(p));
-  return g;
+  return g.build();
 }
 
 std::size_t inspiralJobCount(const InspiralParams& p) {
@@ -72,7 +72,7 @@ std::size_t inspiralJobCount(const InspiralParams& p) {
 dag::Digraph makeInspiral(const InspiralParams& p) {
   PRIO_CHECK_MSG(p.segments >= 2 && p.templates >= 1,
                  "Inspiral needs >= 2 segments and >= 1 template");
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(inspiralJobCount(p));
 
   const std::size_t S = p.segments;
@@ -120,7 +120,7 @@ dag::Digraph makeInspiral(const InspiralParams& p) {
   }
 
   PRIO_CHECK(g.numNodes() == inspiralJobCount(p));
-  return g;
+  return g.build();
 }
 
 std::size_t montageJobCount(const MontageParams& p) {
@@ -135,7 +135,7 @@ dag::Digraph makeMontage(const MontageParams& p) {
                  "Montage needs at least a 2x2 grid");
   PRIO_CHECK_MSG(p.extra_diagonal_overlaps <= (p.rows - 1) * (p.cols - 1),
                  "more diagonal overlaps than diagonal neighbor pairs");
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(montageJobCount(p));
 
   const std::size_t R = p.rows, C = p.cols;
@@ -195,7 +195,7 @@ dag::Digraph makeMontage(const MontageParams& p) {
   g.addEdge(shrink, jpeg);
 
   PRIO_CHECK(g.numNodes() == montageJobCount(p));
-  return g;
+  return g.build();
 }
 
 std::size_t sdssJobCount(const SdssParams& p) {
@@ -210,7 +210,7 @@ dag::Digraph makeSdss(const SdssParams& p) {
   PRIO_CHECK_MSG(p.fields >= 2 && p.short_chain >= 1 &&
                      p.long_chain >= p.short_chain,
                  "SDSS needs >= 2 fields and long_chain >= short_chain >= 1");
-  Digraph g;
+  DigraphBuilder g;
   g.reserveNodes(sdssJobCount(p));
 
   // W(fields, 3) core: each field-extraction source has 3 target
@@ -257,7 +257,7 @@ dag::Digraph makeSdss(const SdssParams& p) {
   }
 
   PRIO_CHECK(g.numNodes() == sdssJobCount(p));
-  return g;
+  return g.build();
 }
 
 InspiralParams inspiralBenchScale() { return InspiralParams{83, 15}; }

@@ -14,14 +14,14 @@ using namespace prio::dag;
 using namespace prio::theory;
 
 Digraph chainDag(std::size_t n) {
-  Digraph g;
-  NodeId prev = g.addNode("n0");
+  DigraphBuilder g;
+  NodeId prev = g.addNode();
   for (std::size_t i = 1; i < n; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode();
     g.addEdge(prev, next);
     prev = next;
   }
-  return g;
+  return g.build();
 }
 
 TEST(Batch, ChainTakesOneRoundPerJob) {
@@ -35,8 +35,9 @@ TEST(Batch, ChainTakesOneRoundPerJob) {
 }
 
 TEST(Batch, AntichainPacksRounds) {
-  Digraph g;
-  for (int i = 0; i < 10; ++i) g.addNode("n" + std::to_string(i));
+  DigraphBuilder gb;
+  for (int i = 0; i < 10; ++i) gb.addNode();
+  const Digraph g = gb.build();
   const auto r = batchedExecuteFifo(g, 4);
   EXPECT_EQ(r.rounds, 3u);  // 4 + 4 + 2
   EXPECT_EQ(r.round_sizes, (std::vector<std::size_t>{4, 4, 2}));

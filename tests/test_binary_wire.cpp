@@ -139,12 +139,13 @@ class ServerFixture {
 // ------------------------------------------------------- codec goldens
 
 TEST(BinaryCodec, GoldenBdagBytes) {
-  dag::Digraph g;
-  g.addNode("a");
-  g.addNode("b");
-  g.addNode("c");
-  g.addEdge(0, 1);
-  g.addEdge(0, 2);
+  dag::DigraphBuilder gb;
+  gb.addNode("a");
+  gb.addNode("b");
+  gb.addNode("c");
+  gb.addEdge(0, 1);
+  gb.addEdge(0, 2);
+  const dag::Digraph g = gb.build();
   const std::string wire = dag::encodeBinaryDag(g);
 
   std::string expected;

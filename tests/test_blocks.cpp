@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "builder_from.h"
 #include "dag/algorithms.h"
 #include "theory/blocks.h"
 #include "theory/bruteforce.h"
@@ -83,8 +84,9 @@ TEST(MakeCliqueDag, Structure) {
 // ---- Recognition ----
 
 TEST(RecognizeBlock, Singleton) {
-  Digraph g;
-  g.addNode("solo");
+  DigraphBuilder gb;
+  gb.addNode("solo");
+  const Digraph g = gb.build();
   const auto r = recognizeBlock(g);
   EXPECT_EQ(r.kind, BlockKind::kSingleton);
   EXPECT_TRUE(r.ic_optimal);
@@ -103,10 +105,11 @@ TEST(RecognizeBlock, Fig2Samples) {
 }
 
 TEST(RecognizeBlock, NonBipartiteIsGeneric) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  const Digraph g = gb.build();
   const auto r = recognizeBlock(g);
   EXPECT_EQ(r.kind, BlockKind::kGeneric);
   EXPECT_FALSE(r.ic_optimal);
@@ -114,18 +117,20 @@ TEST(RecognizeBlock, NonBipartiteIsGeneric) {
 }
 
 TEST(RecognizeBlock, DisconnectedIsGeneric) {
-  Digraph g;
-  g.addNode("a");
-  g.addNode("b");
+  DigraphBuilder gb;
+  gb.addNode("a");
+  gb.addNode("b");
+  const Digraph g = gb.build();
   const auto r = recognizeBlock(g);
   EXPECT_EQ(r.kind, BlockKind::kGeneric);
 }
 
 TEST(RecognizeBlock, PerturbedWFallsBack) {
   // W(3,2) plus one extra arc making a sink have 3 parents: no family.
-  Digraph g = makeW(3, 2);
-  const auto sinks = g.sinks();
-  g.addEdge(0, sinks.back());
+  const Digraph w = makeW(3, 2);
+  DigraphBuilder gb = prio::testing::builderFrom(w);
+  gb.addEdge(0, w.sinks().back());
+  const Digraph g = gb.build();
   const auto r = recognizeBlock(g);
   EXPECT_EQ(r.kind, BlockKind::kBipartiteGeneric);
   EXPECT_FALSE(r.ic_optimal);
@@ -133,14 +138,15 @@ TEST(RecognizeBlock, PerturbedWFallsBack) {
 }
 
 TEST(RecognizeBlock, UnevenFanoutIsBipartiteGeneric) {
-  Digraph g;
-  const NodeId s1 = g.addNode("s1"), s2 = g.addNode("s2");
-  const NodeId t1 = g.addNode("t1"), t2 = g.addNode("t2"),
-               t3 = g.addNode("t3");
-  g.addEdge(s1, t1);
-  g.addEdge(s1, t2);
-  g.addEdge(s1, t3);
-  g.addEdge(s2, t3);
+  DigraphBuilder gb;
+  const NodeId s1 = gb.addNode("s1"), s2 = gb.addNode("s2");
+  const NodeId t1 = gb.addNode("t1"), t2 = gb.addNode("t2"),
+               t3 = gb.addNode("t3");
+  gb.addEdge(s1, t1);
+  gb.addEdge(s1, t2);
+  gb.addEdge(s1, t3);
+  gb.addEdge(s2, t3);
+  const Digraph g = gb.build();
   const auto r = recognizeBlock(g);  // outdegrees 3 and 1: no family
   EXPECT_EQ(r.kind, BlockKind::kBipartiteGeneric);
 }
@@ -305,14 +311,15 @@ TEST(MakeCompleteBipartite, CountsAndValidation) {
 // ---- Fallback schedules ----
 
 TEST(OutdegreeSchedule, PrefersHighOutdegreeButRespectsPrecedence) {
-  Digraph g;
-  const NodeId big = g.addNode("big");     // outdegree 3
-  const NodeId small = g.addNode("small"); // outdegree 1
-  const NodeId gate = g.addNode("gate");   // child of small, outdegree 2
-  for (int i = 0; i < 3; ++i) g.addEdge(big, g.addNode("b" + std::to_string(i)));
-  g.addEdge(small, gate);
-  g.addEdge(gate, g.addNode("g0"));
-  g.addEdge(gate, g.addNode("g1"));
+  DigraphBuilder gb;
+  const NodeId big = gb.addNode("big");     // outdegree 3
+  const NodeId small = gb.addNode("small"); // outdegree 1
+  const NodeId gate = gb.addNode("gate");   // child of small, outdegree 2
+  for (const char* name : {"b0", "b1", "b2"}) gb.addEdge(big, gb.addNode(name));
+  gb.addEdge(small, gate);
+  gb.addEdge(gate, gb.addNode("g0"));
+  gb.addEdge(gate, gb.addNode("g1"));
+  const Digraph g = gb.build();
   const auto order = outdegreeSchedule(g);
   EXPECT_TRUE(isTopologicalOrder(g, order));
   // big (outdeg 3) first; gate (outdeg 2) must wait for small.
@@ -322,13 +329,14 @@ TEST(OutdegreeSchedule, PrefersHighOutdegreeButRespectsPrecedence) {
 }
 
 TEST(OutdegreeSchedule, ChainStaysInOrder) {
-  Digraph g;
-  NodeId prev = g.addNode("n0");
+  DigraphBuilder gb;
+  NodeId prev = gb.addNode();
   for (int i = 1; i < 6; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
-    g.addEdge(prev, next);
+    const NodeId next = gb.addNode();
+    gb.addEdge(prev, next);
     prev = next;
   }
+  const Digraph g = gb.build();
   const auto order = outdegreeSchedule(g);
   EXPECT_TRUE(isTopologicalOrder(g, order));
 }
@@ -348,10 +356,11 @@ TEST(GreedyBipartiteSchedule, ValidAndSinksLast) {
 }
 
 TEST(GreedyBipartiteSchedule, FallsBackOnNonBipartite) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  const Digraph g = gb.build();
   EXPECT_TRUE(isTopologicalOrder(g, greedyBipartiteSchedule(g)));
 }
 

@@ -101,8 +101,9 @@ TEST(Campaign, ExtremeRegimesShowNoGain) {
 TEST(Campaign, StallRatioUndefinedWhenFifoNeverStalls) {
   // A wide antichain with ample batches never stalls under FIFO, so the
   // paper's rule says: report no confidence interval.
-  prio::dag::Digraph g;
-  for (int i = 0; i < 40; ++i) g.addNode("n" + std::to_string(i));
+  prio::dag::DigraphBuilder gb;
+  for (int i = 0; i < 40; ++i) gb.addNode();
+  const prio::dag::Digraph g = gb.build();
   const auto r = prio::core::prioritize(prio::core::PrioRequest(g));
   GridModel m;
   m.mean_batch_interarrival = 1.0;

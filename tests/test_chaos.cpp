@@ -165,12 +165,13 @@ TEST(Fallback, ProducesValidUncertifiedPrioritization) {
 
 TEST(Fallback, OrdersByOutdegreeAmongEligible) {
   // hub has outdegree 3, loner 0: the fallback must dispatch hub first.
-  dag::Digraph g;
-  const auto loner = g.addNode("loner");
-  const auto hub = g.addNode("hub");
-  g.addEdge(hub, g.addNode("c1"));
-  g.addEdge(hub, g.addNode("c2"));
-  g.addEdge(hub, g.addNode("c3"));
+  dag::DigraphBuilder gb;
+  const auto loner = gb.addNode("loner");
+  const auto hub = gb.addNode("hub");
+  gb.addEdge(hub, gb.addNode("c1"));
+  gb.addEdge(hub, gb.addNode("c2"));
+  gb.addEdge(hub, gb.addNode("c3"));
+  const dag::Digraph g = gb.build();
   const auto r = core::fallbackPrioritize(g);
   EXPECT_EQ(r.schedule.front(), hub);
   EXPECT_GT(r.priority[hub], r.priority[loner]);
@@ -295,7 +296,7 @@ TEST(ServiceShedding, StaleQueuedRequestsAreShed) {
 TEST(ServiceFaults, ForcedParseFailureIsPermanent) {
   ScopedInjector inj(104);
   Injector::instance().plan("service.parse", {.kind = Kind::kThrowError});
-  PrioService service({.num_threads = 1});
+  PrioService service({.num_threads = 1, .prio_options = {}});
   const std::string path =
       writeTempDag("ok.dag", "Job a a.sub\nJob b b.sub\nPARENT a CHILD b\n");
   const Reply reply = service.submit(FileRequest{path, ""}).get();
@@ -309,7 +310,7 @@ TEST(ServiceFaults, TransientFailureIsMarkedRetryable) {
   ScopedInjector inj(105);
   Injector::instance().plan("service.parse",
                             {.kind = Kind::kThrowTransient});
-  PrioService service({.num_threads = 1});
+  PrioService service({.num_threads = 1, .prio_options = {}});
   const std::string path =
       writeTempDag("ok2.dag", "Job a a.sub\n");
   const Reply reply = service.submit(FileRequest{path, ""}).get();
@@ -331,7 +332,7 @@ TEST(ServiceFaults, TransientFailureIsMarkedRetryable) {
 TEST(CrashSafety, CrashBeforeRenameLeavesNoTornTarget) {
   ScopedInjector inj(106);
   Injector::instance().plan("atomic_file.rename", {.kind = Kind::kCrash});
-  PrioService service({.num_threads = 1});
+  PrioService service({.num_threads = 1, .prio_options = {}});
   const std::string input =
       writeTempDag("crash_in.dag",
                    "Job a a.sub\nJob b b.sub\nPARENT a CHILD b\n");

@@ -96,13 +96,14 @@ TEST(Combine, StrategiesAgreeOnFullScaleInspiralAndMontage) {
 
 TEST(Combine, ProfileClassesGroupIdenticalProfiles) {
   // A chain decomposes into identical W(1,1) components: one class.
-  Digraph g;
-  NodeId prev = g.addNode("n0");
+  DigraphBuilder gb;
+  NodeId prev = gb.addNode();
   for (int i = 1; i < 6; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
-    g.addEdge(prev, next);
+    const NodeId next = gb.addNode();
+    gb.addEdge(prev, next);
     prev = next;
   }
+  const Digraph g = gb.build();
   const auto p = decomposeAndSchedule(g);
   const auto r = combineGreedy(p.decomposition, p.schedules);
   EXPECT_EQ(r.class_profiles.size(), 1u);
@@ -113,17 +114,18 @@ TEST(Combine, ExpansiveSourcePoppedBeforeReductiveWhenFree) {
   // Two independent blocks: a fan-out W(1,3) and a fan-in M(1,3). The
   // greedy combine must execute the expansive block first (its source
   // maximizes the minimum priority).
-  Digraph g;
-  const NodeId w = g.addNode("w");
+  DigraphBuilder gb;
+  const NodeId w = gb.addNode("w");
   for (int i = 0; i < 3; ++i) {
-    g.addEdge(w, g.addNode("wt" + std::to_string(i)));
+    gb.addEdge(w, gb.addNode("wt" + std::to_string(i)));
   }
-  const NodeId mt = g.addNode("mt");
+  const NodeId mt = gb.addNode("mt");
   std::vector<NodeId> msrc;
   for (int i = 0; i < 3; ++i) {
-    msrc.push_back(g.addNode("ms" + std::to_string(i)));
-    g.addEdge(msrc.back(), mt);
+    msrc.push_back(gb.addNode("ms" + std::to_string(i)));
+    gb.addEdge(msrc.back(), mt);
   }
+  const Digraph g = gb.build();
   const auto p = decomposeAndSchedule(g);
   ASSERT_EQ(p.decomposition.components.size(), 2u);
   const auto r = combineGreedy(p.decomposition, p.schedules);
@@ -138,25 +140,33 @@ TEST(Combine, IncomparableReadyBlocksAreImperfectButDeterministic) {
   // other (r = 6/7 both ways), so whichever the greedy pops first loses
   // a little — all_pops_perfect must be false, the pop order must be
   // deterministic, and both strategies must still agree.
-  Digraph g;
+  DigraphBuilder gb;
   // N(4): u0..u3 -> v0..v3 zigzag.
   std::vector<NodeId> u, v;
-  for (int i = 0; i < 4; ++i) u.push_back(g.addNode("u" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) v.push_back(g.addNode("v" + std::to_string(i)));
+  for (const char* name : {"u0", "u1", "u2", "u3"}) {
+    u.push_back(gb.addNode(name));
+  }
+  for (const char* name : {"v0", "v1", "v2", "v3"}) {
+    v.push_back(gb.addNode(name));
+  }
   for (int i = 0; i < 4; ++i) {
-    g.addEdge(u[i], v[i]);
-    if (i + 1 < 4) g.addEdge(u[i + 1], v[i]);
+    gb.addEdge(u[i], v[i]);
+    if (i + 1 < 4) gb.addEdge(u[i + 1], v[i]);
   }
   // Clique(3): three sources, one sink per pair.
   std::vector<NodeId> q;
-  for (int i = 0; i < 3; ++i) q.push_back(g.addNode("q" + std::to_string(i)));
+  for (const char* name : {"q0", "q1", "q2"}) q.push_back(gb.addNode(name));
   for (int i = 0; i < 3; ++i) {
     for (int j = i + 1; j < 3; ++j) {
-      const NodeId t = g.addNode("t" + std::to_string(i) + std::to_string(j));
-      g.addEdge(q[i], t);
-      g.addEdge(q[j], t);
+      std::string name = "t";
+      name += std::to_string(i);
+      name += std::to_string(j);
+      const NodeId t = gb.addNode(std::move(name));
+      gb.addEdge(q[i], t);
+      gb.addEdge(q[j], t);
     }
   }
+  const Digraph g = gb.build();
   const auto p = decomposeAndSchedule(g);
   ASSERT_EQ(p.decomposition.components.size(), 2u);
   const auto btree = combineGreedy(p.decomposition, p.schedules,

@@ -14,14 +14,14 @@ using condor::CondorOptions;
 using condor::runCondorSystem;
 
 dag::Digraph chainDag(std::size_t n) {
-  dag::Digraph g;
-  auto prev = g.addNode("n0");
+  dag::DigraphBuilder g;
+  auto prev = g.addNode();
   for (std::size_t i = 1; i < n; ++i) {
-    const auto next = g.addNode("n" + std::to_string(i));
+    const auto next = g.addNode();
     g.addEdge(prev, next);
     prev = next;
   }
-  return g;
+  return g.build();
 }
 
 TEST(CondorSystem, RunsDagToCompletion) {
@@ -47,8 +47,9 @@ TEST(CondorSystem, DeterministicForSeed) {
 
 TEST(CondorSystem, StagingAccountsResidentJobs) {
   // A wide antichain forwarded unthrottled stages everything at once.
-  dag::Digraph g;
-  for (int i = 0; i < 100; ++i) g.addNode("n" + std::to_string(i));
+  dag::DigraphBuilder gb;
+  for (int i = 0; i < 100; ++i) gb.addNode();
+  const dag::Digraph g = gb.build();
   CondorOptions opt;
   opt.staging_bytes_per_job = 1000;
   opt.slots = 4;
@@ -77,11 +78,12 @@ TEST(CondorSystem, ChainMakespanDominatedByNegotiationPeriod) {
 
 TEST(CondorSystem, PrioritiesChangeMatchOrder) {
   // Two independent jobs, one slot: the higher jobpriority runs first.
-  dag::Digraph g;
-  const auto low = g.addNode("low");
-  const auto high = g.addNode("high");
-  g.addEdge(low, g.addNode("low_child"));
-  g.addEdge(high, g.addNode("high_child"));
+  dag::DigraphBuilder gb;
+  const auto low = gb.addNode("low");
+  const auto high = gb.addNode("high");
+  gb.addEdge(low, gb.addNode("low_child"));
+  gb.addEdge(high, gb.addNode("high_child"));
+  const dag::Digraph g = gb.build();
   std::vector<std::size_t> prio_values(g.numNodes(), 0);
   prio_values[high] = 10;
   prio_values[low] = 1;

@@ -15,14 +15,14 @@ using namespace prio::dag;
 using prio::stats::Rng;
 
 Digraph diamond() {
-  Digraph g;
+  DigraphBuilder g;
   const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
                d = g.addNode("d");
   g.addEdge(a, b);
   g.addEdge(a, c);
   g.addEdge(b, d);
   g.addEdge(c, d);
-  return g;
+  return g.build();
 }
 
 TEST(TopologicalOrder, DiamondDeterministic) {
@@ -35,11 +35,12 @@ TEST(TopologicalOrder, DiamondDeterministic) {
 }
 
 TEST(TopologicalOrder, DetectsCycle) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
-  g.addEdge(c, a);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  gb.addEdge(c, a);
+  const Digraph g = gb.build();
   EXPECT_FALSE(topologicalOrder(g).has_value());
   EXPECT_FALSE(isAcyclic(g));
 }
@@ -73,12 +74,13 @@ TEST(DescendantsAndAncestors, Diamond) {
 }
 
 TEST(WeaklyConnectedComponents, CountsAndLabels) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  const NodeId c = g.addNode("c"), d = g.addNode("d");
-  g.addNode("iso");
-  g.addEdge(a, b);
-  g.addEdge(d, c);  // direction must not matter
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  const NodeId c = gb.addNode("c"), d = gb.addNode("d");
+  gb.addNode("iso");
+  gb.addEdge(a, b);
+  gb.addEdge(d, c);  // direction must not matter
+  const Digraph g = gb.build();
   const auto comps = weaklyConnectedComponents(g);
   EXPECT_EQ(comps.count, 3u);
   EXPECT_EQ(comps.label[a], comps.label[b]);
@@ -89,24 +91,24 @@ TEST(WeaklyConnectedComponents, CountsAndLabels) {
 
 TEST(IsConnected, Basics) {
   EXPECT_FALSE(isConnected(Digraph{}));
-  Digraph g;
-  g.addNode("a");
-  EXPECT_TRUE(isConnected(g));
-  g.addNode("b");
-  EXPECT_FALSE(isConnected(g));
+  DigraphBuilder gb;
+  gb.addNode("a");
+  EXPECT_TRUE(isConnected(gb.build()));
+  gb.addNode("b");
+  EXPECT_FALSE(isConnected(gb.build()));
 }
 
 TEST(LongestPathNodes, ChainAndDiamond) {
   EXPECT_EQ(longestPathNodes(Digraph{}), 0u);
   EXPECT_EQ(longestPathNodes(diamond()), 3u);  // a-b-d
-  Digraph chain;
-  NodeId prev = chain.addNode("n0");
+  DigraphBuilder chain;
+  NodeId prev = chain.addNode();
   for (int i = 1; i < 5; ++i) {
-    const NodeId next = chain.addNode("n" + std::to_string(i));
+    const NodeId next = chain.addNode();
     chain.addEdge(prev, next);
     prev = next;
   }
-  EXPECT_EQ(longestPathNodes(chain), 5u);
+  EXPECT_EQ(longestPathNodes(chain.build()), 5u);
 }
 
 TEST(UpwardRank, DiamondRanks) {
@@ -127,11 +129,12 @@ TEST(UpwardRank, ParentAlwaysExceedsChild) {
 }
 
 TEST(IsBipartiteDag, Classification) {
-  Digraph bip;
-  const NodeId s1 = bip.addNode("s1"), s2 = bip.addNode("s2");
-  const NodeId t1 = bip.addNode("t1");
-  bip.addEdge(s1, t1);
-  bip.addEdge(s2, t1);
+  DigraphBuilder bip_b;
+  const NodeId s1 = bip_b.addNode("s1"), s2 = bip_b.addNode("s2");
+  const NodeId t1 = bip_b.addNode("t1");
+  bip_b.addEdge(s1, t1);
+  bip_b.addEdge(s2, t1);
+  const Digraph bip = bip_b.build();
   EXPECT_TRUE(isBipartiteDag(bip));
   EXPECT_FALSE(isBipartiteDag(diamond()));  // b has parent and child
   Digraph empty;
@@ -208,7 +211,7 @@ Digraph shuffledIds(const Digraph& g, Rng& rng) {
   for (std::size_t i = new_id.size(); i > 1; --i) {
     std::swap(new_id[i - 1], new_id[rng.below(i)]);
   }
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   std::vector<NodeId> old_of_new(g.numNodes());
   for (NodeId u = 0; u < g.numNodes(); ++u) old_of_new[new_id[u]] = u;
@@ -218,7 +221,7 @@ Digraph shuffledIds(const Digraph& g, Rng& rng) {
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     for (NodeId v : g.children(u)) out.addEdge(new_id[u], new_id[v]);
   }
-  return out;
+  return out.build();
 }
 
 TEST(TopologicalOrder, LexMinOnShuffledIds) {
@@ -236,20 +239,22 @@ TEST(TopologicalOrder, LexMinOnDescendingChain) {
   // 4 -> 3 -> 2 -> 1 -> 0: every arc descends, so the only topological
   // order is the exact reverse of the id order (worst case for the
   // bitmap cursor, which gets pulled back on every extraction).
-  Digraph g;
-  for (int i = 0; i < 5; ++i) g.addNode("n" + std::to_string(i));
-  for (NodeId u = 4; u > 0; --u) g.addEdge(u, u - 1);
+  DigraphBuilder gb;
+  for (int i = 0; i < 5; ++i) gb.addNode();
+  for (NodeId u = 4; u > 0; --u) gb.addEdge(u, u - 1);
+  const Digraph g = gb.build();
   const auto order = topologicalOrder(g);
   ASSERT_TRUE(order.has_value());
   EXPECT_EQ(*order, (std::vector<NodeId>{4, 3, 2, 1, 0}));
 }
 
 TEST(TopologicalOrder, DetectsCycleWithDescendingArcs) {
-  Digraph g;
-  for (int i = 0; i < 70; ++i) g.addNode("n" + std::to_string(i));
-  g.addEdge(1, 0);  // descending: disables the identity fast path
-  g.addEdge(68, 69);
-  g.addEdge(69, 68);  // cycle far from node 0, beyond the first bitmap word
+  DigraphBuilder gb;
+  for (int i = 0; i < 70; ++i) gb.addNode();
+  gb.addEdge(1, 0);  // descending: disables the identity fast path
+  gb.addEdge(68, 69);
+  gb.addEdge(69, 68);  // cycle far from node 0, beyond the first bitmap word
+  const Digraph g = gb.build();
   EXPECT_FALSE(topologicalOrder(g).has_value());
   EXPECT_FALSE(isAcyclic(g));
 }

@@ -2,15 +2,20 @@
 // instrumentation pipeline.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "dagman/dagman_file.h"
 #include "dagman/instrument.h"
 #include "dagman/jsdf.h"
 #include "util/check.h"
+#include "workloads/scientific.h"
 
 namespace {
 
@@ -109,6 +114,109 @@ TEST(DagmanParse, Errors) {
   {
     std::istringstream in("JOB a a.sub\nVARS ghost key=\"v\"\n");
     EXPECT_THROW((void)DagmanFile::parse(in), prio::util::Error);
+  }
+}
+
+std::size_t maxRssKb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::size_t>(usage.ru_maxrss);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// The text of `parse` failing, or "" when it parses.
+std::string parseError(const std::string& text) {
+  try {
+    (void)DagmanFile::parse(text);
+  } catch (const prio::util::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DagmanParse, BoundsExpandedDependencies) {
+  // 8,194 jobs, all declared, and one 4,097 x 4,097 PARENT line: 16.8M
+  // dependencies from under 200 KB of text. The parse fails on the count
+  // alone, before it expands the line.
+  constexpr std::size_t k = 4097;
+  std::string jobs;
+  std::string parents;
+  std::string children;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::string n = std::to_string(i);
+    jobs += "JOB p";
+    jobs += n;
+    jobs += " s\nJOB c";
+    jobs += n;
+    jobs += " s\n";
+    parents += " p";
+    parents += n;
+    children += " c";
+    children += n;
+  }
+  std::string text = jobs;
+  text += "PARENT";
+  text += parents;
+  text += " CHILD";
+  text += children;
+  text += '\n';
+  ASSERT_LT(text.size(), 200'000u);
+
+  const std::size_t before_kb = maxRssKb();
+  const std::string error = parseError(text);
+  const std::size_t grown_mb = (maxRssKb() - before_kb) / 1024;
+  EXPECT_NE(error.find("line 8195: PARENT/CHILD lines expand to more than "
+                       "16777216 dependencies"),
+            std::string::npos)
+      << error;
+  if (!kSanitized) {
+    EXPECT_LT(grown_mb, 64u) << "the parse expanded the line before failing";
+  }
+
+  // The count runs over the lines: two lines under the bound on their
+  // own fail at the second.
+  const std::size_t cut = parents.find(" p2048 ");
+  std::string two = jobs;
+  for (const std::string& some :
+       {parents.substr(0, cut), parents.substr(cut)}) {
+    two += "PARENT";
+    two += some;
+    two += " CHILD";
+    two += children;
+    two += '\n';
+  }
+  EXPECT_NE(parseError(two).find("line 8196: PARENT/CHILD lines expand"),
+            std::string::npos);
+}
+
+TEST(DagmanParse, PaperScaleDagsStayUnderTheBound) {
+  namespace wl = prio::workloads;
+  for (const auto& g : {wl::makeAirsn(), wl::makeInspiral(), wl::makeMontage(),
+                        wl::makeSdss()}) {
+    DagmanFile file;
+    for (prio::dag::NodeId u = 0; u < g.numNodes(); ++u) {
+      file.addJob(g.name(u), "job.sub");
+    }
+    for (prio::dag::NodeId u = 0; u < g.numNodes(); ++u) {
+      for (const prio::dag::NodeId v : g.children(u)) {
+        file.addDependency(g.name(u), g.name(v));
+      }
+    }
+    const auto parsed = DagmanFile::parse(file.render());
+    EXPECT_EQ(parsed.dependencies().size(), g.numEdges());
+    EXPECT_EQ(parsed.toDigraph().numEdges(), g.numEdges());
   }
 }
 
@@ -241,6 +349,34 @@ TEST(InstrumentSubmitFiles, RewritesExistingSkipsMissing) {
   const auto j = Jsdf::parseFile((dir / "a.submit").string());
   EXPECT_EQ(j.command("priority"),
             std::optional<std::string>("$(jobpriority)"));
+  fs::remove_all(dir);
+}
+
+TEST(InstrumentSubmitFiles, ResolvesDirAndSkipsNoop) {
+  // a's submit file sits under its DIR; n is NOOP with a file of its
+  // own, which stays untouched; m is NOOP but shares r's file, which is
+  // instrumented on r's account.
+  const fs::path dir = fs::temp_directory_path() / "prio_test_jsdf_dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "sub");
+  for (const fs::path& path :
+       {dir / "sub" / "a.sub", dir / "n.sub", dir / "r.sub"}) {
+    std::ofstream out(path);
+    out << "executable = true\nqueue\n";
+  }
+  const auto f = DagmanFile::parse(
+      "JOB a a.sub DIR sub\nJOB n n.sub NOOP\nJOB r r.sub\n"
+      "JOB m r.sub NOOP\nPARENT a CHILD n r m\n");
+  const auto rewritten = instrumentSubmitFiles(f, dir.string());
+  EXPECT_EQ(rewritten, (std::vector<std::string>{"r.sub", "sub/a.sub"}));
+  const auto priority = [&](const fs::path& path) {
+    return Jsdf::parseFile(path.string()).command("priority");
+  };
+  EXPECT_EQ(priority(dir / "sub" / "a.sub"),
+            std::optional<std::string>("$(jobpriority)"));
+  EXPECT_EQ(priority(dir / "r.sub"),
+            std::optional<std::string>("$(jobpriority)"));
+  EXPECT_EQ(priority(dir / "n.sub"), std::nullopt);
   fs::remove_all(dir);
 }
 

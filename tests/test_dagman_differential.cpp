@@ -243,12 +243,13 @@ File parse(const std::string& text) {
 }
 
 dag::Digraph toDigraph(const File& f) {
-  dag::Digraph g;
-  g.reserveNodes(f.jobs.size());
-  for (const Job& job : f.jobs) g.addNode(job.name);
+  dag::DigraphBuilder gb;
+  gb.reserveNodes(f.jobs.size());
+  for (const Job& job : f.jobs) gb.addNode(job.name);
   for (const auto& [p, c] : f.dependencies) {
-    g.addEdge(*g.findNode(p), *g.findNode(c));
+    gb.addEdge(*gb.findNode(p), *gb.findNode(c));
   }
+  const dag::Digraph g = gb.build();
   PRIO_CHECK_MSG(dag::isAcyclic(g),
                  "DAGMan dependencies contain a directed cycle");
   return g;
@@ -256,18 +257,19 @@ dag::Digraph toDigraph(const File& f) {
 
 dag::Digraph toPendingDigraph(const File& f,
                               std::vector<std::size_t>* job_of_node) {
-  dag::Digraph g;
+  dag::DigraphBuilder gb;
   job_of_node->clear();
   for (std::size_t i = 0; i < f.jobs.size(); ++i) {
     if (f.jobs[i].done) continue;
-    g.addNode(f.jobs[i].name);
+    gb.addNode(f.jobs[i].name);
     job_of_node->push_back(i);
   }
   for (const auto& [p, c] : f.dependencies) {
-    const auto pn = g.findNode(p);
-    const auto cn = g.findNode(c);
-    if (pn.has_value() && cn.has_value()) g.addEdge(*pn, *cn);
+    const auto pn = gb.findNode(p);
+    const auto cn = gb.findNode(c);
+    if (pn.has_value() && cn.has_value()) gb.addEdge(*pn, *cn);
   }
+  const dag::Digraph g = gb.build();
   PRIO_CHECK_MSG(dag::isAcyclic(g),
                  "DAGMan dependencies contain a directed cycle");
   return g;
@@ -507,7 +509,11 @@ std::string jobName(const Case& c, dag::NodeId u, const Style& s,
       case 2: return "JOB" + std::string(u == 2 ? "" : std::to_string(u));
       case 3: return "j\xC3\xA9" + std::to_string(u);  // UTF-8 bytes
       case 4: return std::string("n\0ul", 4) + std::to_string(u);
-      case 5: return "\xFF" + std::to_string(u);
+      case 5: {
+        std::string name = "\xFF";
+        name += std::to_string(u);
+        return name;
+      }
       default: break;
     }
   }

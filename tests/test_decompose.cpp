@@ -22,8 +22,9 @@ using namespace prio::dag;
 using prio::stats::Rng;
 
 TEST(Decompose, SingleNode) {
-  Digraph g;
-  g.addNode("solo");
+  DigraphBuilder gb;
+  gb.addNode("solo");
+  const Digraph g = gb.build();
   const auto d = decompose(g);
   ASSERT_EQ(d.components.size(), 1u);
   EXPECT_EQ(d.components[0].num_nonsinks, 0u);
@@ -43,13 +44,14 @@ TEST(Decompose, PureBipartiteIsOneComponent) {
 }
 
 TEST(Decompose, ChainPeelsPairwise) {
-  Digraph g;
-  NodeId prev = g.addNode("n0");
+  DigraphBuilder gb;
+  NodeId prev = gb.addNode();
   for (int i = 1; i < 5; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
-    g.addEdge(prev, next);
+    const NodeId next = gb.addNode();
+    gb.addEdge(prev, next);
     prev = next;
   }
+  const Digraph g = gb.build();
   const auto d = decompose(g);
   // Chain of 5: components {n0,n1}, {n1,n2}, {n2,n3}, {n3,n4}.
   ASSERT_EQ(d.components.size(), 4u);
@@ -64,15 +66,16 @@ TEST(Decompose, ChainPeelsPairwise) {
 }
 
 TEST(Decompose, Fig3Example) {
-  Digraph g;
-  const NodeId a = g.addNode("a");
-  g.addNode("b");
-  const NodeId c = g.addNode("c");
-  g.addNode("d");
-  g.addNode("e");
-  g.addEdge(a, 1);
-  g.addEdge(c, 3);
-  g.addEdge(c, 4);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a");
+  gb.addNode("b");
+  const NodeId c = gb.addNode("c");
+  gb.addNode("d");
+  gb.addNode("e");
+  gb.addEdge(a, 1);
+  gb.addEdge(c, 3);
+  gb.addEdge(c, 4);
+  const Digraph g = gb.build();
   const auto d = decompose(g);
   // Two components: {a,b} (W(1,1)) and {c,d,e} (W(1,2)); b, d, e are
   // global sinks.
@@ -148,16 +151,17 @@ TEST(Decompose, FastPathOnOffProduceValidDecompositions) {
 TEST(Decompose, GeneralSearchHandlesCrossedCouple) {
   // The minimal dag with no bipartite component rooted at sources:
   //   s -> c, m -> c, s' -> m, s' -> c2, m2 -> c2, s -> m2.
-  Digraph g;
-  const NodeId s = g.addNode("s"), sp = g.addNode("sp");
-  const NodeId m = g.addNode("m"), m2 = g.addNode("m2");
-  const NodeId c = g.addNode("c"), c2 = g.addNode("c2");
-  g.addEdge(s, c);
-  g.addEdge(m, c);
-  g.addEdge(sp, m);
-  g.addEdge(sp, c2);
-  g.addEdge(m2, c2);
-  g.addEdge(s, m2);
+  DigraphBuilder gb;
+  const NodeId s = gb.addNode("s"), sp = gb.addNode("sp");
+  const NodeId m = gb.addNode("m"), m2 = gb.addNode("m2");
+  const NodeId c = gb.addNode("c"), c2 = gb.addNode("c2");
+  gb.addEdge(s, c);
+  gb.addEdge(m, c);
+  gb.addEdge(sp, m);
+  gb.addEdge(sp, c2);
+  gb.addEdge(m2, c2);
+  gb.addEdge(s, m2);
+  const Digraph g = gb.build();
   const auto d = decompose(g);
   EXPECT_GE(d.general_searches, 1u);
   ASSERT_EQ(d.components.size(), 1u);
@@ -191,19 +195,21 @@ TEST(Decompose, InspiralHasLargeNonBipartiteComponent) {
 }
 
 TEST(Decompose, RejectsCyclicInput) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
-  g.addEdge(b, a);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  gb.addEdge(b, a);
+  const Digraph g = gb.build();
   EXPECT_THROW((void)decompose(g), prio::util::Error);
 }
 
 TEST(Decompose, IsolatedNodesBecomeGlobalSinkSingletons) {
-  Digraph g;
-  g.addNode("iso1");
-  g.addNode("iso2");
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
+  DigraphBuilder gb;
+  gb.addNode("iso1");
+  gb.addNode("iso2");
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  const Digraph g = gb.build();
   const auto d = decompose(g);
   EXPECT_EQ(d.global_sinks.size(), 3u);  // iso1, iso2, b
   std::size_t scheduled = 0;

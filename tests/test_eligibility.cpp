@@ -20,20 +20,22 @@ TEST(EligibilityProfile, EmptyGraphEmptyOrder) {
 }
 
 TEST(EligibilityProfile, Chain) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  const Digraph g = gb.build();
   const auto p = eligibilityProfile(g, std::vector<NodeId>{a, b, c});
   // Exactly one job eligible at each step until the end.
   EXPECT_EQ(p, (std::vector<std::size_t>{1, 1, 1, 0}));
 }
 
 TEST(EligibilityProfile, ForkOut) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(a, c);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(a, c);
+  const Digraph g = gb.build();
   const auto p = eligibilityProfile(g, std::vector<NodeId>{a, b, c});
   EXPECT_EQ(p, (std::vector<std::size_t>{1, 2, 1, 0}));
 }
@@ -42,12 +44,13 @@ TEST(EligibilityProfile, JoinOrderMatters) {
   // Independent pair {a, b} joined into c: executing both parents first
   // yields the same totals in this tiny case, but the intermediate counts
   // depend on order in Fig. 3's five-job dag.
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d"), e = g.addNode("e");
-  g.addEdge(a, b);
-  g.addEdge(c, d);
-  g.addEdge(c, e);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d"), e = gb.addNode("e");
+  gb.addEdge(a, b);
+  gb.addEdge(c, d);
+  gb.addEdge(c, e);
+  const Digraph g = gb.build();
   // PRIO order c,a,b,d,e vs FIFO-ish order a,c,b,d,e.
   const auto prio_p =
       eligibilityProfile(g, std::vector<NodeId>{c, a, b, d, e});
@@ -58,25 +61,28 @@ TEST(EligibilityProfile, JoinOrderMatters) {
 }
 
 TEST(EligibilityProfile, PrefixOrderSupported) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  const Digraph g = gb.build();
   const auto p = eligibilityProfile(g, std::vector<NodeId>{a});
   EXPECT_EQ(p, (std::vector<std::size_t>{1, 1}));
 }
 
 TEST(EligibilityProfile, RejectsPrecedenceViolation) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  const Digraph g = gb.build();
   EXPECT_THROW((void)eligibilityProfile(g, std::vector<NodeId>{b, a}),
                prio::util::Error);
 }
 
 TEST(EligibilityProfile, RejectsRepeatsAndUnknownJobs) {
-  Digraph g;
-  const NodeId a = g.addNode("a");
-  g.addNode("b");
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a");
+  gb.addNode("b");
+  const Digraph g = gb.build();
   EXPECT_THROW((void)eligibilityProfile(g, std::vector<NodeId>{a, a}),
                prio::util::Error);
   EXPECT_THROW((void)eligibilityProfile(g, std::vector<NodeId>{7}),
@@ -87,12 +93,13 @@ TEST(EligibilityProfile, RejectsRepeatsAndUnknownJobs) {
 }
 
 TEST(EligibleCount, MatchesManualEnumeration) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d");
-  g.addEdge(a, c);
-  g.addEdge(b, c);
-  g.addEdge(c, d);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d");
+  gb.addEdge(a, c);
+  gb.addEdge(b, c);
+  gb.addEdge(c, d);
+  const Digraph g = gb.build();
   EXPECT_EQ(eligibleCount(g, std::vector<NodeId>{}), 2u);        // a, b
   EXPECT_EQ(eligibleCount(g, std::vector<NodeId>{a}), 1u);       // b
   EXPECT_EQ(eligibleCount(g, std::vector<NodeId>{a, b}), 1u);    // c
@@ -104,15 +111,16 @@ TEST(EligibilityProfile, TelescopingIdentity) {
   // Executing a job removes it from the eligible set and adds exactly
   // the children whose last missing parent it was:
   //   E(t+1) = E(t) - 1 + (#children completed by step t's job).
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d"), e = g.addNode("e"), f = g.addNode("f");
-  g.addEdge(a, c);
-  g.addEdge(b, c);
-  g.addEdge(b, d);
-  g.addEdge(c, e);
-  g.addEdge(c, f);
-  g.addEdge(d, f);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d"), e = gb.addNode("e"), f = gb.addNode("f");
+  gb.addEdge(a, c);
+  gb.addEdge(b, c);
+  gb.addEdge(b, d);
+  gb.addEdge(c, e);
+  gb.addEdge(c, f);
+  gb.addEdge(d, f);
+  const Digraph g = gb.build();
   const std::vector<NodeId> order{b, a, d, c, e, f};
   const auto p = eligibilityProfile(g, order);
 
@@ -127,8 +135,9 @@ TEST(EligibilityProfile, TelescopingIdentity) {
 }
 
 TEST(EligibilityProfile, LastEntryZeroWhenComplete) {
-  Digraph g;
-  for (int i = 0; i < 4; ++i) g.addNode("n" + std::to_string(i));
+  DigraphBuilder gb;
+  for (int i = 0; i < 4; ++i) gb.addNode();
+  const Digraph g = gb.build();
   const std::vector<NodeId> order{0, 1, 2, 3};
   const auto p = eligibilityProfile(g, order);
   EXPECT_EQ(p.front(), 4u);  // all sources

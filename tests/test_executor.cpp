@@ -23,12 +23,12 @@ using namespace prio;
 using namespace prio::dagman;
 
 dag::Digraph fig3Dag() {
-  dag::Digraph g;
+  dag::DigraphBuilder g;
   const auto a = g.addNode("a"), c = g.addNode("c");
   g.addEdge(a, g.addNode("b"));
   g.addEdge(c, g.addNode("d"));
   g.addEdge(c, g.addNode("e"));
-  return g;
+  return g.build();
 }
 
 JobAction alwaysSucceed() {
@@ -140,15 +140,16 @@ TEST(Executor, MaxJobsThrottlesConcurrency) {
 TEST(Executor, FailureSkipsDescendantsOnly) {
   // a -> b -> c ; independent x -> y. Failing a must skip b, c but run
   // x, y.
-  dag::Digraph g;
-  const auto a = g.addNode("a");
-  const auto b = g.addNode("b");
-  const auto c = g.addNode("c");
-  const auto x = g.addNode("x");
-  const auto y = g.addNode("y");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
-  g.addEdge(x, y);
+  dag::DigraphBuilder gb;
+  const auto a = gb.addNode("a");
+  const auto b = gb.addNode("b");
+  const auto c = gb.addNode("c");
+  const auto x = gb.addNode("x");
+  const auto y = gb.addNode("y");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  gb.addEdge(x, y);
+  const dag::Digraph g = gb.build();
   Executor exec(g, {.max_workers = 1});
   const auto report = exec.run(
       [](const std::string& name) { return name != "a"; });
@@ -160,8 +161,9 @@ TEST(Executor, FailureSkipsDescendantsOnly) {
 }
 
 TEST(Executor, RetriesUntilBudgetExhausted) {
-  dag::Digraph g;
-  g.addNode("flaky");
+  dag::DigraphBuilder gb;
+  gb.addNode("flaky");
+  const dag::Digraph g = gb.build();
   Executor exec(g, {.max_workers = 1});
   exec.setRetries(0, 3);
   int attempts = 0;
@@ -176,8 +178,9 @@ TEST(Executor, RetriesUntilBudgetExhausted) {
 }
 
 TEST(Executor, RetryBudgetExceededFails) {
-  dag::Digraph g;
-  g.addNode("doomed");
+  dag::DigraphBuilder gb;
+  gb.addNode("doomed");
+  const dag::Digraph g = gb.build();
   Executor exec(g, {.max_workers = 1, .default_retries = 2});
   int attempts = 0;
   const auto report = exec.run([&](const std::string&) {
@@ -190,8 +193,9 @@ TEST(Executor, RetryBudgetExceededFails) {
 }
 
 TEST(Executor, ExceptionCountsAsFailure) {
-  dag::Digraph g;
-  g.addNode("thrower");
+  dag::DigraphBuilder gb;
+  gb.addNode("thrower");
+  const dag::Digraph g = gb.build();
   Executor exec(g, {.max_workers = 1});
   const auto report = exec.run(
       [](const std::string&) -> bool { throw std::runtime_error("boom"); });
@@ -200,10 +204,11 @@ TEST(Executor, ExceptionCountsAsFailure) {
 }
 
 TEST(Executor, PreDoneJobsAreNotRun) {
-  dag::Digraph g;
-  const auto a = g.addNode("a");
-  const auto b = g.addNode("b");
-  g.addEdge(a, b);
+  dag::DigraphBuilder gb;
+  const auto a = gb.addNode("a");
+  const auto b = gb.addNode("b");
+  gb.addEdge(a, b);
+  const dag::Digraph g = gb.build();
   Executor exec(g, {.max_workers = 1});
   exec.setDone(a);
   std::vector<std::string> ran;
@@ -217,14 +222,16 @@ TEST(Executor, PreDoneJobsAreNotRun) {
 }
 
 TEST(Executor, RejectsCyclesAndBadInputs) {
-  dag::Digraph g;
-  const auto a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
-  g.addEdge(b, a);
+  dag::DigraphBuilder gb;
+  const auto a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  gb.addEdge(b, a);
+  const dag::Digraph g = gb.build();
   EXPECT_THROW(Executor(g, {}), util::Error);
 
-  dag::Digraph ok;
-  ok.addNode("x");
+  dag::DigraphBuilder okb;
+  okb.addNode("x");
+  const dag::Digraph ok = okb.build();
   Executor exec(ok, {});
   const std::vector<std::size_t> wrong{1, 2};
   EXPECT_THROW(exec.setPriorities(wrong), util::Error);
@@ -394,6 +401,45 @@ TEST(ShellAction, RunsRealCommands) {
   EXPECT_EQ(report.failed, 1u);
   EXPECT_TRUE(fs::exists(dir / "first.marker"));
   EXPECT_TRUE(fs::exists(dir / "second.marker"));
+  fs::remove_all(dir);
+}
+
+TEST(ShellAction, HonoursDirAndNoop) {
+  // a runs from its DIR, where its submit file is; n is NOOP, so its
+  // executable never runs and its marker never appears.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "prio_shell_dir_noop";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "sub");
+  {
+    std::ofstream dag(dir / "w.dag");
+    dag << "JOB a a.sub DIR sub\nJOB n n.sub NOOP\nJOB z z.sub\n"
+        << "PARENT a CHILD n\nPARENT n CHILD z\n";
+    std::ofstream a(dir / "sub" / "a.sub");
+    a << "executable = touch\narguments = a.marker\nqueue\n";
+    std::ofstream n(dir / "n.sub");
+    n << "executable = touch\narguments = n.marker\nqueue\n";
+    std::ofstream z(dir / "z.sub");
+    z << "executable = touch\narguments = z.marker\nqueue\n";
+  }
+  auto file = DagmanFile::parseFile((dir / "w.dag").string());
+  EXPECT_EQ(dagman::instrumentSubmitFiles(file, dir.string()),
+            (std::vector<std::string>{"sub/a.sub", "z.sub"}));
+  std::vector<std::string> ran;
+  const auto shell = dagman::shellAction(file, dir.string());
+  const auto report = executeDagmanFile(
+      file,
+      [&](const std::string& job) {
+        ran.push_back(job);
+        return shell(job);
+      },
+      {.max_workers = 1});
+  EXPECT_TRUE(report.success);
+  EXPECT_EQ(ran, (std::vector<std::string>{"a", "z"}));
+  EXPECT_TRUE(fs::exists(dir / "sub" / "a.marker"));
+  EXPECT_TRUE(fs::exists(dir / "z.marker"));
+  EXPECT_FALSE(fs::exists(dir / "n.marker"));
+  EXPECT_FALSE(fs::exists(dir / "sub" / "n.marker"));
   fs::remove_all(dir);
 }
 

@@ -18,18 +18,19 @@ namespace {
 
 using namespace prio;
 using dag::Digraph;
+using dag::DigraphBuilder;
 using dag::NodeId;
 
 Digraph dagFromMask(std::size_t n, std::uint32_t mask) {
-  Digraph g;
-  for (std::size_t i = 0; i < n; ++i) g.addNode("n" + std::to_string(i));
+  DigraphBuilder g;
+  for (std::size_t i = 0; i < n; ++i) g.addNode();
   std::size_t bit = 0;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j, ++bit) {
       if ((mask >> bit) & 1u) g.addEdge(i, j);
     }
   }
-  return g;
+  return g.build();
 }
 
 struct ExhaustiveCounts {

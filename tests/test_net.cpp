@@ -1145,7 +1145,7 @@ TEST(NetServer, TenantQuotaRejectsOverBudget) {
   net::ServerConfig config;
   config.service.backpressure = service::BackpressurePolicy::kReject;
   // 1 token of burst, refilled at a rate far slower than the test runs.
-  config.tenants.push_back({1, {.rate_per_s = 0.001, .burst = 1}});
+  config.tenants.push_back({1, {.name = {}, .rate_per_s = 0.001, .burst = 1}});
   ServerFixture fixture(config);
 
   net::ClientOptions options;
@@ -1184,7 +1184,7 @@ TEST(NetServer, TenantInFlightCapRejects) {
   config.service.num_threads = 1;
   config.service.cache_capacity = 0;
   config.service.backpressure = service::BackpressurePolicy::kReject;
-  config.tenants.push_back({1, {.max_in_flight = 1}});
+  config.tenants.push_back({1, {.name = {}, .max_in_flight = 1}});
   ServerFixture fixture(config);
 
   net::ClientOptions options;
@@ -1215,7 +1215,7 @@ TEST(NetServer, TenantQuotaBlockParksThenServes) {
   config.service.backpressure = service::BackpressurePolicy::kBlock;
   // 1 burst token, 50/s refill: the second pipelined request must park
   // ~20ms and then complete — nothing is lost under kBlock.
-  config.tenants.push_back({1, {.rate_per_s = 50, .burst = 1}});
+  config.tenants.push_back({1, {.name = {}, .rate_per_s = 50, .burst = 1}});
   ServerFixture fixture(config);
 
   net::ClientOptions options;

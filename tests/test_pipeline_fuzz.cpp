@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "builder_from.h"
 #include "core/prio.h"
 #include "dag/algorithms.h"
 #include "stats/rng.h"
@@ -21,6 +22,7 @@ using namespace prio;
 using core::PrioRequest;
 using core::prioritize;
 using dag::Digraph;
+using dag::DigraphBuilder;
 using dag::NodeId;
 using stats::Rng;
 
@@ -41,43 +43,45 @@ void expectValid(const Digraph& g, const core::PrioOptions& opt = {}) {
 TEST(PipelineFuzz, DegenerateShapes) {
   {
     // A forest of isolated nodes.
-    Digraph g;
-    for (int i = 0; i < 40; ++i) g.addNode("iso" + std::to_string(i));
+    DigraphBuilder gb;
+    for (int i = 0; i < 40; ++i) gb.addNode("iso" + std::to_string(i));
+    const Digraph g = gb.build();
     expectValid(g);
   }
   {
     // A very deep chain.
-    Digraph g;
-    NodeId prev = g.addNode("n0");
+    DigraphBuilder gb;
+    NodeId prev = gb.addNode();
     for (int i = 1; i < 500; ++i) {
-      const NodeId next = g.addNode("n" + std::to_string(i));
-      g.addEdge(prev, next);
+      const NodeId next = gb.addNode();
+      gb.addEdge(prev, next);
       prev = next;
     }
+    const Digraph g = gb.build();
     expectValid(g);
   }
   {
     // A huge star (one source, many sinks) and its reverse.
-    Digraph out_star, in_star;
+    DigraphBuilder out_star, in_star;
     const NodeId hub = out_star.addNode("hub");
     const NodeId sink = in_star.addNode("sink");
     for (int i = 0; i < 300; ++i) {
-      out_star.addEdge(hub, out_star.addNode("t" + std::to_string(i)));
-      const NodeId s = in_star.addNode("s" + std::to_string(i));
-      in_star.addEdge(s, sink);
+      out_star.addEdge(hub, out_star.addNode());
+      in_star.addEdge(in_star.addNode(), sink);
     }
-    expectValid(out_star);
-    expectValid(in_star);
+    expectValid(out_star.build());
+    expectValid(in_star.build());
   }
   {
     // Many disconnected small components of different shapes.
-    Digraph g;
+    DigraphBuilder gb;
     for (int k = 0; k < 20; ++k) {
-      const NodeId a = g.addNode("a" + std::to_string(k));
-      const NodeId b = g.addNode("b" + std::to_string(k));
-      g.addEdge(a, b);
-      if (k % 2 == 0) g.addEdge(a, g.addNode("c" + std::to_string(k)));
+      const NodeId a = gb.addNode();
+      const NodeId b = gb.addNode();
+      gb.addEdge(a, b);
+      if (k % 2 == 0) gb.addEdge(a, gb.addNode());
     }
+    const Digraph g = gb.build();
     expectValid(g);
   }
 }
@@ -101,8 +105,10 @@ TEST_P(PipelineFuzzRandom, RandomShapesAllOptionPaths) {
         break;
       default: {
         // Random dag plus isolated nodes (mixed connectivity).
-        g = workloads::randomDag(30, 0.1, rng);
-        for (int i = 0; i < 5; ++i) g.addNode();
+        DigraphBuilder gb =
+            prio::testing::builderFrom(workloads::randomDag(30, 0.1, rng));
+        for (int i = 0; i < 5; ++i) gb.addNode();
+        g = gb.build();
         break;
       }
     }

@@ -22,12 +22,13 @@ using namespace prio::dag;
 using prio::stats::Rng;
 
 TEST(Prioritize, Fig3Example) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d"), e = g.addNode("e");
-  g.addEdge(a, b);
-  g.addEdge(c, d);
-  g.addEdge(c, e);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d"), e = gb.addNode("e");
+  gb.addEdge(a, b);
+  gb.addEdge(c, d);
+  gb.addEdge(c, e);
+  const Digraph g = gb.build();
   const auto r = prioritize(PrioRequest(g));
   // The paper's PRIO schedule for IV.dag is c,a,b,d,e.
   ASSERT_EQ(r.schedule.size(), 5u);
@@ -48,8 +49,9 @@ TEST(Prioritize, EmptyDag) {
 }
 
 TEST(Prioritize, SingleJob) {
-  Digraph g;
-  g.addNode("only");
+  DigraphBuilder gb;
+  gb.addNode("only");
+  const Digraph g = gb.build();
   const auto r = prioritize(PrioRequest(g));
   EXPECT_EQ(r.schedule, (std::vector<NodeId>{0}));
   EXPECT_EQ(r.priority[0], 1u);
@@ -57,10 +59,11 @@ TEST(Prioritize, SingleJob) {
 }
 
 TEST(Prioritize, RejectsCycles) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
-  g.addEdge(b, a);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  gb.addEdge(b, a);
+  const Digraph g = gb.build();
   EXPECT_THROW((void)prioritize(PrioRequest(g)), prio::util::Error);
 }
 
@@ -75,11 +78,12 @@ TEST(Prioritize, PrioritiesAreInverseOfPositions) {
 }
 
 TEST(Prioritize, ShortcutsAreCountedAndHarmless) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
-  g.addEdge(a, c);  // shortcut
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  gb.addEdge(a, c);  // shortcut
+  const Digraph g = gb.build();
   const auto r = prioritize(PrioRequest(g));
   EXPECT_EQ(r.shortcuts_removed, 1u);
   EXPECT_TRUE(isTopologicalOrder(g, r.schedule));
@@ -114,42 +118,42 @@ TEST(Prioritize, CertifiesKnownComposableConstructions) {
 
   // (a) A pure chain.
   {
-    Digraph g;
-    NodeId prev = g.addNode("n0");
+    DigraphBuilder gb;
+    NodeId prev = gb.addNode();
     for (int i = 1; i < 8; ++i) {
-      const NodeId next = g.addNode("n" + std::to_string(i));
-      g.addEdge(prev, next);
+      const NodeId next = gb.addNode();
+      gb.addEdge(prev, next);
       prev = next;
     }
-    dags.push_back(std::move(g));
+    dags.push_back(gb.build());
   }
   // (b) A decreasing-fanout tree: W(1,4) whose sinks root W(1,2) blocks
   // (parent block has priority over each child block).
   {
-    Digraph g;
-    const NodeId root = g.addNode("root");
+    DigraphBuilder gb;
+    const NodeId root = gb.addNode("root");
     for (int i = 0; i < 4; ++i) {
-      const NodeId mid = g.addNode("mid" + std::to_string(i));
-      g.addEdge(root, mid);
+      const NodeId mid = gb.addNode("mid" + std::to_string(i));
+      gb.addEdge(root, mid);
       for (int j = 0; j < 2; ++j) {
-        g.addEdge(mid, g.addNode("leaf" + std::to_string(2 * i + j)));
+        gb.addEdge(mid, gb.addNode("leaf" + std::to_string(2 * i + j)));
       }
     }
-    dags.push_back(std::move(g));
+    dags.push_back(gb.build());
   }
   // (c) Independent Fig. 2 blocks side by side.
   {
-    Digraph g;
-    const NodeId w = g.addNode("w");
+    DigraphBuilder gb;
+    const NodeId w = gb.addNode("w");
     for (int i = 0; i < 3; ++i) {
-      g.addEdge(w, g.addNode("wt" + std::to_string(i)));
+      gb.addEdge(w, gb.addNode("wt" + std::to_string(i)));
     }
-    const NodeId mt = g.addNode("mt");
+    const NodeId mt = gb.addNode("mt");
     for (int i = 0; i < 2; ++i) {
-      const NodeId s = g.addNode("ms" + std::to_string(i));
-      g.addEdge(s, mt);
+      const NodeId s = gb.addNode("ms" + std::to_string(i));
+      gb.addEdge(s, mt);
     }
-    dags.push_back(std::move(g));
+    dags.push_back(gb.build());
   }
 
   for (std::size_t i = 0; i < dags.size(); ++i) {
@@ -164,15 +168,16 @@ TEST(Prioritize, GracefulOnDagsWithNoICOptimalSchedule) {
   // The heuristic's raison d'être (§3): it must produce a valid schedule
   // for EVERY dag, including ones that provably admit no IC-optimal
   // schedule — and must not certify those.
-  Digraph g;
-  const NodeId a = g.addNode("a");
-  g.addEdge(a, g.addNode("b"));
-  const NodeId c = g.addNode("c"), d = g.addNode("d");
-  const NodeId e = g.addNode("e"), f = g.addNode("f");
-  g.addEdge(c, e);
-  g.addEdge(c, f);
-  g.addEdge(d, e);
-  g.addEdge(d, f);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a");
+  gb.addEdge(a, gb.addNode("b"));
+  const NodeId c = gb.addNode("c"), d = gb.addNode("d");
+  const NodeId e = gb.addNode("e"), f = gb.addNode("f");
+  gb.addEdge(c, e);
+  gb.addEdge(c, f);
+  gb.addEdge(d, e);
+  gb.addEdge(d, f);
+  const Digraph g = gb.build();
   ASSERT_EQ(prio::theory::findICOptimalSchedule(g), std::nullopt);
   const auto r = prioritize(PrioRequest(g));
   EXPECT_TRUE(isTopologicalOrder(g, r.schedule));
@@ -222,18 +227,17 @@ class PrioOptionMatrix : public ::testing::TestWithParam<int> {};
 TEST_P(PrioOptionMatrix, AllOptionCombinationsProduceValidSchedules) {
   const int mask = GetParam();
   PrioOptions opt;
-  opt.defer_component_graphs = (mask & 1) != 0;
-  opt.bipartite_fast_path = (mask & 2) != 0;
-  opt.combine_strategy = (mask & 4) ? CombineStrategy::kNaiveQuadratic
+  opt.bipartite_fast_path = (mask & 1) != 0;
+  opt.combine_strategy = (mask & 2) ? CombineStrategy::kNaiveQuadratic
                                     : CombineStrategy::kBTreeClasses;
-  opt.greedy_bipartite_fallback = (mask & 8) != 0;
+  opt.greedy_bipartite_fallback = (mask & 4) != 0;
   Rng rng(25);
   const auto g = prio::workloads::randomComposable(20, rng);
   const auto r = prioritize(PrioRequest(g, opt));
   EXPECT_TRUE(isTopologicalOrder(g, r.schedule));
 }
 
-INSTANTIATE_TEST_SUITE_P(Masks, PrioOptionMatrix, ::testing::Range(0, 16));
+INSTANTIATE_TEST_SUITE_P(Masks, PrioOptionMatrix, ::testing::Range(0, 8));
 
 TEST(Prioritize, FullyDeterministic) {
   // Identical inputs must yield byte-identical schedules (ties are broken
@@ -273,21 +277,23 @@ TEST(Prioritize, EligibilityNeverBelowFifoOnAirsn) {
 }
 
 TEST(FifoSchedule, IsBfsOrder) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d");
-  g.addEdge(a, c);
-  g.addEdge(b, d);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d");
+  gb.addEdge(a, c);
+  gb.addEdge(b, d);
+  const Digraph g = gb.build();
   const auto fifo = fifoSchedule(g);
   EXPECT_EQ(fifo, (std::vector<NodeId>{a, b, c, d}));
   EXPECT_TRUE(isTopologicalOrder(g, fifo));
 }
 
 TEST(FifoSchedule, RequiresAcyclic) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
-  g.addEdge(b, a);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  gb.addEdge(b, a);
+  const Digraph g = gb.build();
   EXPECT_THROW((void)fifoSchedule(g), prio::util::Error);
 }
 

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "builder_from.h"
 #include "dag/algorithms.h"
 #include "stats/rng.h"
 #include "theory/blocks.h"
@@ -28,7 +29,7 @@ Digraph shuffled(const Digraph& g, Rng& rng) {
   // perm[old] = new id; build in new-id order.
   std::vector<NodeId> inverse(perm.size());
   for (NodeId old = 0; old < perm.size(); ++old) inverse[perm[old]] = old;
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   for (NodeId fresh = 0; fresh < g.numNodes(); ++fresh) {
     out.addNode(g.name(inverse[fresh]));
@@ -36,7 +37,7 @@ Digraph shuffled(const Digraph& g, Rng& rng) {
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     for (NodeId v : g.children(u)) out.addEdge(perm[u], perm[v]);
   }
-  return out;
+  return out.build();
 }
 
 class RecognizerInvariance : public ::testing::TestWithParam<std::uint64_t> {
@@ -80,12 +81,13 @@ TEST_P(PerturbationRejection, EdgeAdditionsNeverYieldFalseCertificates) {
                                     makeCycleDag(4), makeCliqueDag(4)};
   for (const Digraph& base : family) {
     for (int trial = 0; trial < 4; ++trial) {
-      Digraph g = base;
-      const auto sources = g.sources();
-      const auto sinks = g.sinks();
+      DigraphBuilder gb = prio::testing::builderFrom(base);
+      const auto sources = base.sources();
+      const auto sinks = base.sinks();
       const NodeId s = sources[rng.below(sources.size())];
       const NodeId t = sinks[rng.below(sinks.size())];
-      if (!g.addEdge(s, t)) continue;  // duplicate arc: unchanged dag
+      if (!gb.addEdge(s, t)) continue;  // duplicate arc: unchanged dag
+      const Digraph g = gb.build();
       const auto rec = recognizeBlock(g);
       EXPECT_TRUE(isTopologicalOrder(g, rec.schedule));
       if (rec.ic_optimal) {
@@ -102,9 +104,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PerturbationRejection,
 TEST(PerturbationRejection, EdgeRemovalDisconnectsOrReclassifies) {
   // Removing the only arc of a 2-chain leaves two singletons: no longer
   // connected, so recognition must fall back to generic.
-  Digraph g;
-  g.addNode("a");
-  g.addNode("b");
+  DigraphBuilder gb;
+  gb.addNode("a");
+  gb.addNode("b");
+  const Digraph g = gb.build();
   const auto rec = recognizeBlock(g);
   EXPECT_EQ(rec.kind, BlockKind::kGeneric);
   EXPECT_EQ(rec.schedule.size(), 2u);

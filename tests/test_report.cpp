@@ -22,11 +22,12 @@ TEST(Report, ComponentCensusCountsFamilies) {
 }
 
 TEST(Report, DescribeMentionsKeyFacts) {
-  dag::Digraph g;
-  const auto a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
-  g.addEdge(a, c);  // shortcut
+  dag::DigraphBuilder gb;
+  const auto a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  gb.addEdge(a, c);  // shortcut
+  const dag::Digraph g = gb.build();
   const auto r = core::prioritize(core::PrioRequest(g));
   const std::string text = core::describeResult(g, r);
   EXPECT_NE(text.find("3 jobs"), std::string::npos);
@@ -48,9 +49,10 @@ TEST(Report, SuperdagDotHasOneNodePerComponent) {
 }
 
 TEST(Report, PrioritizedDotContainsPriorities) {
-  dag::Digraph g;
-  const auto a = g.addNode("x");
-  g.addEdge(a, g.addNode("y"));
+  dag::DigraphBuilder gb;
+  const auto a = gb.addNode("x");
+  gb.addEdge(a, gb.addNode("y"));
+  const dag::Digraph g = gb.build();
   const auto r = core::prioritize(core::PrioRequest(g));
   const std::string dot = core::prioritizedDot(g, r);
   EXPECT_NE(dot.find("p=2"), std::string::npos);

@@ -28,6 +28,7 @@
 namespace {
 
 using prio::dag::Digraph;
+using prio::dag::DigraphBuilder;
 using prio::dag::NodeId;
 using prio::service::BackpressurePolicy;
 using prio::service::FileRequest;
@@ -43,7 +44,7 @@ using prio::service::ServiceConfig;
 
 // Same ids and arcs, fresh names.
 Digraph renamed(const Digraph& g, const std::string& tag) {
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     out.addNode(tag + std::to_string(u));
@@ -51,21 +52,23 @@ Digraph renamed(const Digraph& g, const std::string& tag) {
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     for (NodeId v : g.children(u)) out.addEdge(u, v);
   }
-  return out;
+  return out.build();
 }
 
 // Isomorphic copy with node ids permuted by `perm` (perm[old] = new) and
 // fresh names — same structure, different id layout.
 Digraph permuted(const Digraph& g, const std::vector<NodeId>& perm) {
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   for (NodeId u = 0; u < g.numNodes(); ++u) {
-    out.addNode("p" + std::to_string(u));
+    std::string name = "p";
+    name += std::to_string(u);
+    out.addNode(std::move(name));
   }
   for (NodeId u = 0; u < g.numNodes(); ++u) {
     for (NodeId v : g.children(u)) out.addEdge(perm[u], perm[v]);
   }
-  return out;
+  return out.build();
 }
 
 std::vector<NodeId> reversePermutation(std::size_t n) {
@@ -77,19 +80,19 @@ std::vector<NodeId> reversePermutation(std::size_t n) {
 }
 
 Digraph chain3() {
-  Digraph g;
+  DigraphBuilder g;
   const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
   g.addEdge(a, b);
   g.addEdge(b, c);
-  return g;
+  return g.build();
 }
 
 Digraph fork3() {
-  Digraph g;
+  DigraphBuilder g;
   const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
   g.addEdge(a, b);
   g.addEdge(a, c);
-  return g;
+  return g.build();
 }
 
 std::vector<Digraph> mixedWorkload() {
@@ -203,14 +206,15 @@ TEST(Fingerprint, StableUnderRenamingAndIdPermutation) {
 
 TEST(Fingerprint, IgnoresShortcutArcs) {
   // a->b->c->d plus shortcut a->d reduces to the chain.
-  Digraph g;
-  const NodeId a = g.addNode(), b = g.addNode(), c = g.addNode(),
-               d = g.addNode();
-  g.addEdge(a, b);
-  g.addEdge(b, c);
-  g.addEdge(c, d);
-  const std::uint64_t chain_fp = prio::dag::structuralFingerprint(g);
-  g.addEdge(a, d);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode(), b = gb.addNode(), c = gb.addNode(),
+               d = gb.addNode();
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  gb.addEdge(c, d);
+  const std::uint64_t chain_fp = prio::dag::structuralFingerprint(gb.build());
+  gb.addEdge(a, d);
+  const Digraph g = gb.build();
   EXPECT_EQ(chain_fp, prio::dag::structuralFingerprint(g));
   // The layout hash, by contrast, sees the extra arc: a cached result
   // records shortcuts_removed, so the two must not share an entry.
@@ -482,11 +486,12 @@ TEST(PrioService, CyclicDagFailsWithoutKillingWorkers) {
   config.num_threads = 2;
   PrioService service(config);
 
-  Digraph cyclic;
-  const NodeId a = cyclic.addNode(), b = cyclic.addNode();
-  cyclic.addEdge(a, b);
-  cyclic.addEdge(b, a);
+  DigraphBuilder cyclic_b;
+  const NodeId a = cyclic_b.addNode(), b = cyclic_b.addNode();
+  cyclic_b.addEdge(a, b);
+  cyclic_b.addEdge(b, a);
 
+  const Digraph cyclic = cyclic_b.build();
   const Reply bad = service.submit(cyclic).get();
   EXPECT_EQ(bad.status, RequestStatus::kFailed);
   EXPECT_EQ(bad.result, nullptr);

@@ -17,25 +17,26 @@ using namespace prio::sim;
 using prio::stats::Rng;
 
 Digraph chainDag(std::size_t n) {
-  Digraph g;
-  NodeId prev = g.addNode("n0");
+  DigraphBuilder g;
+  NodeId prev = g.addNode();
   for (std::size_t i = 1; i < n; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode();
     g.addEdge(prev, next);
     prev = next;
   }
-  return g;
+  return g.build();
 }
 
 Digraph antichainDag(std::size_t n) {
-  Digraph g;
-  for (std::size_t i = 0; i < n; ++i) g.addNode("n" + std::to_string(i));
-  return g;
+  DigraphBuilder g;
+  for (std::size_t i = 0; i < n; ++i) g.addNode();
+  return g.build();
 }
 
 TEST(Simulator, SingleJob) {
-  Digraph g;
-  g.addNode("only");
+  DigraphBuilder gb;
+  gb.addNode("only");
+  const Digraph g = gb.build();
   GridModel m;
   Rng rng(1);
   const auto r = simulateFifo(g, m, rng);

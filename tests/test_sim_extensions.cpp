@@ -18,14 +18,14 @@ using namespace prio::sim;
 using prio::stats::Rng;
 
 Digraph chainDag(std::size_t n) {
-  Digraph g;
-  NodeId prev = g.addNode("n0");
+  DigraphBuilder g;
+  NodeId prev = g.addNode();
   for (std::size_t i = 1; i < n; ++i) {
-    const NodeId next = g.addNode("n" + std::to_string(i));
+    const NodeId next = g.addNode();
     g.addEdge(prev, next);
     prev = next;
   }
-  return g;
+  return g.build();
 }
 
 TEST(Extensions, DefaultsDegenerateToBaseModelFifo) {
@@ -93,8 +93,9 @@ TEST(Extensions, FailuresAreRetriedUntilDone) {
 }
 
 TEST(Extensions, FailureRateMatchesProbability) {
-  prio::dag::Digraph g;
-  for (int i = 0; i < 200; ++i) g.addNode("n" + std::to_string(i));
+  prio::dag::DigraphBuilder gb;
+  for (int i = 0; i < 200; ++i) gb.addNode();
+  const prio::dag::Digraph g = gb.build();
   ExtendedGridModel model;
   model.base.mean_batch_size = 16.0;
   model.failure_probability = 0.25;
@@ -127,8 +128,9 @@ TEST(Extensions, FailuresIncreaseMakespan) {
 }
 
 TEST(Extensions, HeterogeneousRuntimesPreserveMeanRoughly) {
-  prio::dag::Digraph g;
-  for (int i = 0; i < 400; ++i) g.addNode("n" + std::to_string(i));
+  prio::dag::DigraphBuilder gb;
+  for (int i = 0; i < 400; ++i) gb.addNode();
+  const prio::dag::Digraph g = gb.build();
   ExtendedGridModel model;
   model.base.mean_batch_size = 1e9;  // one wave
   model.base.mean_batch_interarrival = 1e6;
@@ -184,8 +186,9 @@ TEST(Extensions, EvictionsAreRetriedAndWasteWork) {
 TEST(Extensions, EvictionWastesLessThanFullFailure) {
   // An evicted attempt loses only its elapsed fraction, so per incident
   // it wastes strictly less than a failure of the same duration would.
-  prio::dag::Digraph g;
-  for (int i = 0; i < 300; ++i) g.addNode("n" + std::to_string(i));
+  prio::dag::DigraphBuilder gb;
+  for (int i = 0; i < 300; ++i) gb.addNode();
+  const prio::dag::Digraph g = gb.build();
   ExtendedGridModel evict, fail;
   evict.eviction_probability = 0.25;
   fail.failure_probability = 0.25;

@@ -85,13 +85,14 @@ TEST(Trace, CsvHasOneLinePerEventPlusHeader) {
 
 TEST(DagStats, ChainAndAirsn) {
   {
-    dag::Digraph g;
-    auto prev = g.addNode("n0");
+    dag::DigraphBuilder gb;
+    auto prev = gb.addNode();
     for (int i = 1; i < 5; ++i) {
-      const auto next = g.addNode("n" + std::to_string(i));
-      g.addEdge(prev, next);
+      const auto next = gb.addNode();
+      gb.addEdge(prev, next);
       prev = next;
     }
+    const dag::Digraph g = gb.build();
     const auto s = dag::computeStats(g);
     EXPECT_EQ(s.depth, 5u);
     EXPECT_EQ(s.max_width, 1u);

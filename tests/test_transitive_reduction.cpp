@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "builder_from.h"
 #include "dag/algorithms.h"
-#include "dag/csr.h"
 #include "dag/digraph.h"
 #include "stats/rng.h"
 #include "theory/blocks.h"
@@ -82,7 +82,6 @@ BitMatrix descendantMatrix(const Digraph& g,
                  "descendantMatrix: topo_order must cover every node");
   BitMatrix reach(n, n);
   if (n == 0) return reach;
-  const Csr& csr = g.csr();
 
   // Process in reverse topological order so children's rows are complete.
   // Rows longer than one tile are filled one column tile at a time: the
@@ -100,7 +99,7 @@ BitMatrix descendantMatrix(const Digraph& g,
     const std::size_t col_end = tile_end * 64;
     for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
       const NodeId u = *it;
-      for (NodeId v : csr.children(u)) {
+      for (NodeId v : g.children(u)) {
         if (v >= col_begin && v < col_end) reach.set(u, v);
         reach.orRowRangeInto(u, v, tile_begin, tile_end);
       }
@@ -118,12 +117,11 @@ BitMatrix descendantMatrix(const Digraph& g) {
 Digraph reduceWithBitset(const Digraph& g,
                          std::span<const NodeId> topo_order) {
   const BitMatrix reach = descendantMatrix(g, topo_order);
-  const Csr& csr = g.csr();
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   for (NodeId u = 0; u < g.numNodes(); ++u) out.addNode(g.name(u));
   for (NodeId u = 0; u < g.numNodes(); ++u) {
-    const auto children = csr.children(u);
+    const auto children = g.children(u);
     for (NodeId v : children) {
       bool shortcut = false;
       for (NodeId w : children) {
@@ -135,7 +133,7 @@ Digraph reduceWithBitset(const Digraph& g,
       if (!shortcut) out.addEdge(u, v);
     }
   }
-  return out;
+  return out.build();
 }
 
 Digraph reduceWithBitset(const Digraph& g) {
@@ -166,7 +164,7 @@ bool reachableFromAny(const Digraph& g, std::span<const NodeId> starts,
 }
 
 Digraph reduceWithDfs(const Digraph& g) {
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(g.numNodes());
   for (NodeId u = 0; u < g.numNodes(); ++u) out.addNode(g.name(u));
   std::vector<char> visited(g.numNodes(), 0);
@@ -183,7 +181,7 @@ Digraph reduceWithDfs(const Digraph& g) {
       }
     }
   }
-  return out;
+  return out.build();
 }
 
 }  // namespace reference
@@ -227,11 +225,11 @@ Digraph permutedShuffled(const Digraph& g, Rng& rng) {
   for (std::size_t i = arcs.size(); i > 1; --i) {
     std::swap(arcs[i - 1], arcs[rng.below(i)]);
   }
-  Digraph out;
+  DigraphBuilder out;
   out.reserveNodes(n);
   for (NodeId u = 0; u < n; ++u) out.addNode(g.name(old_of_new[u]));
   for (const auto& [u, v] : arcs) out.addEdge(u, v);
-  return out;
+  return out.build();
 }
 
 /// Heads of arcs out of nodes with two or more children, in the
@@ -304,11 +302,12 @@ constexpr bool kSanitized = false;
 // Small cases.
 
 TEST(TransitiveReduction, RemovesTriangleShortcut) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c");
-  g.addEdge(a, b);
-  g.addEdge(b, c);
-  g.addEdge(a, c);  // shortcut
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c");
+  gb.addEdge(a, b);
+  gb.addEdge(b, c);
+  gb.addEdge(a, c);  // shortcut
+  const Digraph g = gb.build();
   const Digraph r = transitiveReduction(g);
   EXPECT_EQ(r.numEdges(), 2u);
   EXPECT_TRUE(r.hasEdge(a, b));
@@ -317,26 +316,28 @@ TEST(TransitiveReduction, RemovesTriangleShortcut) {
 }
 
 TEST(TransitiveReduction, KeepsDiamond) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d");
-  g.addEdge(a, b);
-  g.addEdge(a, c);
-  g.addEdge(b, d);
-  g.addEdge(c, d);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d");
+  gb.addEdge(a, b);
+  gb.addEdge(a, c);
+  gb.addEdge(b, d);
+  gb.addEdge(c, d);
+  const Digraph g = gb.build();
   const Digraph r = transitiveReduction(g);
   EXPECT_EQ(r.numEdges(), 4u);  // no shortcuts in a diamond
 }
 
 TEST(TransitiveReduction, DiamondWithChord) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d");
-  g.addEdge(a, b);
-  g.addEdge(a, c);
-  g.addEdge(b, d);
-  g.addEdge(c, d);
-  g.addEdge(a, d);  // shortcut across the diamond
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d");
+  gb.addEdge(a, b);
+  gb.addEdge(a, c);
+  gb.addEdge(b, d);
+  gb.addEdge(c, d);
+  gb.addEdge(a, d);  // shortcut across the diamond
+  const Digraph g = gb.build();
   const Digraph r = transitiveReduction(g);
   EXPECT_EQ(r.numEdges(), 4u);
   EXPECT_FALSE(r.hasEdge(a, d));
@@ -344,21 +345,23 @@ TEST(TransitiveReduction, DiamondWithChord) {
 
 TEST(TransitiveReduction, LongChainShortcuts) {
   // Chain 0->1->...->5 plus every skip arc: all skips must vanish.
-  Digraph g;
-  for (int i = 0; i < 6; ++i) g.addNode("n" + std::to_string(i));
+  DigraphBuilder gb;
+  for (int i = 0; i < 6; ++i) gb.addNode();
   for (NodeId i = 0; i < 6; ++i) {
-    for (NodeId j = i + 1; j < 6; ++j) g.addEdge(i, j);
+    for (NodeId j = i + 1; j < 6; ++j) gb.addEdge(i, j);
   }
+  const Digraph g = gb.build();
   const Digraph r = transitiveReduction(g);
   EXPECT_EQ(r.numEdges(), 5u);
   for (NodeId i = 0; i + 1 < 6; ++i) EXPECT_TRUE(r.hasEdge(i, i + 1));
 }
 
 TEST(TransitiveReduction, RejectsCycles) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b");
-  g.addEdge(a, b);
-  g.addEdge(b, a);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b");
+  gb.addEdge(a, b);
+  gb.addEdge(b, a);
+  const Digraph g = gb.build();
   EXPECT_THROW((void)transitiveReduction(g), prio::util::Error);
 }
 
@@ -421,13 +424,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReductionProperty,
 // The reference matrix's own checks: the property sweep above trusts it.
 
 TEST(DescendantMatrix, DiamondReachability) {
-  Digraph g;
-  const NodeId a = g.addNode("a"), b = g.addNode("b"), c = g.addNode("c"),
-               d = g.addNode("d");
-  g.addEdge(a, b);
-  g.addEdge(a, c);
-  g.addEdge(b, d);
-  g.addEdge(c, d);
+  DigraphBuilder gb;
+  const NodeId a = gb.addNode("a"), b = gb.addNode("b"), c = gb.addNode("c"),
+               d = gb.addNode("d");
+  gb.addEdge(a, b);
+  gb.addEdge(a, c);
+  gb.addEdge(b, d);
+  gb.addEdge(c, d);
+  const Digraph g = gb.build();
   const auto reach = reference::descendantMatrix(g);
   EXPECT_TRUE(reach.test(0, 1));
   EXPECT_TRUE(reach.test(0, 2));
@@ -539,19 +543,22 @@ TEST(ReductionDifferential, AnyTopologicalOrder) {
 TEST(ReductionDifferential, GraphsWithoutColumns) {
   // No node has two children, so no arc can be a shortcut.
   expectMatchesReference(Digraph{}, "empty");
-  Digraph single;
-  single.addNode("only");
+  DigraphBuilder single_b;
+  single_b.addNode("only");
+  const Digraph single = single_b.build();
   expectMatchesReference(single, "single node");
 
-  Digraph chain;
-  for (std::size_t i = 0; i < 300; ++i) chain.addNode(label('c', i));
-  for (NodeId u = 299; u > 0; --u) chain.addEdge(u, u - 1);  // descending
+  DigraphBuilder chain_b;
+  for (std::size_t i = 0; i < 300; ++i) chain_b.addNode(label('c', i));
+  for (NodeId u = 299; u > 0; --u) chain_b.addEdge(u, u - 1);  // descending
+  const Digraph chain = chain_b.build();
   expectMatchesReference(chain, "descending chain");
 
   // In-tree: every node points at its parent in a heap layout.
-  Digraph in_tree;
-  for (std::size_t i = 0; i < 500; ++i) in_tree.addNode(label('t', i));
-  for (NodeId u = 1; u < 500; ++u) in_tree.addEdge(u, (u - 1) / 2);
+  DigraphBuilder in_tree_b;
+  for (std::size_t i = 0; i < 500; ++i) in_tree_b.addNode(label('t', i));
+  for (NodeId u = 1; u < 500; ++u) in_tree_b.addEdge(u, (u - 1) / 2);
+  const Digraph in_tree = in_tree_b.build();
   expectMatchesReference(in_tree, "in-tree");
   EXPECT_TRUE(columnNodes(in_tree).empty());
   EXPECT_EQ(transitiveReduction(in_tree).numEdges(), in_tree.numEdges());
@@ -562,20 +569,21 @@ TEST(ReductionDifferential, ShortcutInEverySlab) {
   // last one narrow), some linked in short runs, so the root's arc to
   // every linked child is a shortcut; ids are permuted and arcs shuffled.
   constexpr std::size_t kFan = 10000;
-  Digraph base;
-  const NodeId root = base.addNode("root");
+  DigraphBuilder base_b;
+  const NodeId root = base_b.addNode("root");
   std::vector<NodeId> fan;
   for (std::size_t i = 0; i < kFan; ++i) {
-    fan.push_back(base.addNode(label('f', i)));
-    base.addEdge(root, fan.back());
+    fan.push_back(base_b.addNode(label('f', i)));
+    base_b.addEdge(root, fan.back());
   }
   for (std::size_t i = 0; i + 1 < kFan; i += 61) {
-    base.addEdge(fan[i], fan[i + 1]);
+    base_b.addEdge(fan[i], fan[i + 1]);
   }
-  const NodeId sink = base.addNode("sink");
-  for (std::size_t i = 0; i < kFan; i += 7) base.addEdge(fan[i], sink);
-  base.addEdge(root, sink);  // a shortcut to the last column
+  const NodeId sink = base_b.addNode("sink");
+  for (std::size_t i = 0; i < kFan; i += 7) base_b.addEdge(fan[i], sink);
+  base_b.addEdge(root, sink);  // a shortcut to the last column
 
+  const Digraph base = base_b.build();
   Rng rng(250003);
   const Digraph g = permutedShuffled(base, rng);
   const Digraph want = reference::reduceWithBitset(g);
@@ -607,21 +615,21 @@ TEST(ReductionBoundedMemory, ScaledSdssWithInjectedShortcuts) {
   // Every arc added below skips over a path that is already there.
   const auto coadd = sdss.findNode("coadd");
   ASSERT_TRUE(coadd.has_value());
-  Digraph g = sdss;
+  DigraphBuilder gb = prio::testing::builderFrom(sdss);
   std::size_t injected = 0;
   for (NodeId u = 0; u < sdss.numNodes(); u += 97) {
     if (u == *coadd || sdss.outDegree(u) == 0) continue;
     // Down a path of two or more arcs: the first child's first child.
     const NodeId child = sdss.children(u).front();
     if (sdss.outDegree(child) > 0) {
-      injected += g.addEdge(u, sdss.children(child).front()) ? 1 : 0;
+      injected += gb.addEdge(u, sdss.children(child).front()) ? 1 : 0;
     }
     if (u < *coadd && sdss.children(u).front() != *coadd) {
-      injected += g.addEdge(u, *coadd) ? 1 : 0;
+      injected += gb.addEdge(u, *coadd) ? 1 : 0;
     }
   }
   ASSERT_GT(injected, 1000u);
-  (void)g.csr();  // built before the measurement, as on the serving path
+  const Digraph g = gb.build();
 
   const std::size_t before_kb = maxRssKb();
   const Digraph reduced = transitiveReduction(g);

@@ -7,10 +7,11 @@
 namespace {
 
 TEST(UmbrellaHeader, ExposesTheWholePipeline) {
-  prio::dag::Digraph g;
-  const auto a = g.addNode("a");
-  g.addEdge(a, g.addNode("b"));
+  prio::dag::DigraphBuilder gb;
+  const auto a = gb.addNode("a");
+  gb.addEdge(a, gb.addNode("b"));
 
+  const prio::dag::Digraph g = gb.build();
   const auto result = prio::core::prioritize(prio::core::PrioRequest(g));
   EXPECT_TRUE(prio::dag::isTopologicalOrder(g, result.schedule));
   EXPECT_TRUE(prio::theory::isICOptimal(g, result.schedule));

@@ -46,10 +46,11 @@ TEST(MemoryProbe, ReportsPlausibleValues) {
 }
 
 TEST(Dot, BasicStructure) {
-  prio::dag::Digraph g;
-  const auto a = g.addNode("alpha");
-  const auto b = g.addNode("beta");
-  g.addEdge(a, b);
+  prio::dag::DigraphBuilder gb;
+  const auto a = gb.addNode("alpha");
+  const auto b = gb.addNode("beta");
+  gb.addEdge(a, b);
+  const prio::dag::Digraph g = gb.build();
   const std::string dot = prio::dag::toDot(g);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("rankdir=BT"), std::string::npos);
@@ -58,16 +59,18 @@ TEST(Dot, BasicStructure) {
 }
 
 TEST(Dot, EscapesQuotesInNames) {
-  prio::dag::Digraph g;
-  g.addNode("has\"quote");
+  prio::dag::DigraphBuilder gb;
+  gb.addNode("has\"quote");
+  const prio::dag::Digraph g = gb.build();
   const std::string dot = prio::dag::toDot(g);
   EXPECT_NE(dot.find("has\\\"quote"), std::string::npos);
 }
 
 TEST(Dot, PrioritiesAndColorsValidated) {
-  prio::dag::Digraph g;
-  g.addNode("a");
-  g.addNode("b");
+  prio::dag::DigraphBuilder gb;
+  gb.addNode("a");
+  gb.addNode("b");
+  const prio::dag::Digraph g = gb.build();
   const std::vector<std::size_t> priorities{2, 1};
   prio::dag::DotOptions opts;
   opts.priorities = priorities;
@@ -81,9 +84,10 @@ TEST(Dot, PrioritiesAndColorsValidated) {
 }
 
 TEST(Dot, FillColors) {
-  prio::dag::Digraph g;
-  g.addNode("a");
-  g.addNode("b");
+  prio::dag::DigraphBuilder gb;
+  gb.addNode("a");
+  gb.addNode("b");
+  const prio::dag::Digraph g = gb.build();
   const std::vector<std::string> colors{"gray", ""};
   prio::dag::DotOptions opts;
   opts.fill_colors = colors;

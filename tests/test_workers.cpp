@@ -13,19 +13,20 @@ using namespace prio;
 using namespace prio::sim;
 
 dag::Digraph chainDag(std::size_t n) {
-  dag::Digraph g;
-  auto prev = g.addNode("n0");
+  dag::DigraphBuilder g;
+  auto prev = g.addNode();
   for (std::size_t i = 1; i < n; ++i) {
-    const auto next = g.addNode("n" + std::to_string(i));
+    const auto next = g.addNode();
     g.addEdge(prev, next);
     prev = next;
   }
-  return g;
+  return g.build();
 }
 
 TEST(WorkerPool, SingleWorkerMakespanIsSumOfRuntimes) {
-  dag::Digraph g;
-  for (int i = 0; i < 50; ++i) g.addNode("n" + std::to_string(i));
+  dag::DigraphBuilder gb;
+  for (int i = 0; i < 50; ++i) gb.addNode();
+  const dag::Digraph g = gb.build();
   GridModel m;
   stats::Rng rng(1);
   const auto r = simulateWorkerPool(g, Regimen::kFifo, {}, 1, m, rng);
